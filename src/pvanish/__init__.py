@@ -52,6 +52,7 @@ from .partitions import (
     hook_lengths,
     parse_partition,
     r_decompose,
+    r_weight,
     removable_hooks,
 )
 from .vanishing import (
@@ -131,6 +132,7 @@ __all__ = [
     "p_power_partition",
     "parse_partition",
     "r_decompose",
+    "r_weight",
     "removable_hooks",
     "structural_split",
     "suffix_reduction_check",

@@ -343,7 +343,14 @@ def _run_suite(name: str, config: RunConfig) -> verify_mod.SuiteResult:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [_run_suite(name, config) for name in names]
+    results = []
+    for name in names:
+        result = _run_suite(name, config)
+        if not result.checks:
+            raise ValueError(
+                f"suite {name!r} ran 0 checks with these options; nothing was verified"
+            )
+        results.append(result)
 
     width = max(len(r.name) for r in results)
     lines = []

@@ -17,7 +17,7 @@ from .partitions import (
     Partition,
     can_remove_sequence,
     hook_lengths,
-    r_decompose,
+    r_weight,
 )
 
 
@@ -141,7 +141,7 @@ def weight_digit(alpha: Partition, p: int, i: int) -> int:
         raise ValueError(f"{p} is not prime")
     if i < 0:
         raise ValueError(f"digit position must be >= 0, got {i}")
-    return r_decompose(alpha, p**i).weight - p * r_decompose(alpha, p**(i + 1)).weight
+    return r_weight(alpha, p**i) - p * r_weight(alpha, p**(i + 1))
 
 
 def is_blocked_at_level(alpha: Partition, ctx: PAdicContext, m: int) -> bool:
@@ -181,7 +181,14 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     if sum(alpha) != ctx.n:
         raise ValueError(f"{alpha} is not a partition of {ctx.n}")
     if method == "b_invariants":
-        return any(weight_digit(alpha, ctx.p, i) != ctx.digit(i) for i in range(ctx.k + 1))
+        # weight_digit(alpha, p, i) for i = 0..k, each weight computed once
+        upper = ctx.n  # the 1-weight
+        for i in range(ctx.k + 1):
+            lower = r_weight(alpha, ctx.p**(i + 1))
+            if upper - ctx.p * lower != ctx.digits[i]:
+                return True
+            upper = lower
+        return False
     if method == "hooks":
         return is_blocked_at_level(alpha, ctx, 0)
     if method == "character":

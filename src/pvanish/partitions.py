@@ -33,10 +33,17 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return seq
 
 
+# Largest partition size parse_partition accepts.  Exact evaluation stops
+# far below it, and a list of this many parts is cheap to build.
+MAX_PARTITION_SIZE = 10_000
+
+
 def parse_partition(text: str) -> Partition:
     """Parse "4,2,1", "(4,2,1)" or the compressed form "(4,2,1^3)".
 
-    "0", "(0)" and the empty string all denote the empty partition.
+    "0", "(0)" and the empty string all denote the empty partition.  A
+    partition whose parts sum past MAX_PARTITION_SIZE is rejected before
+    any "base^exp" token is expanded.
     """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -45,18 +52,24 @@ def parse_partition(text: str) -> Partition:
     if body in ("", "0"):
         return ()
     parts: list[int] = []
+    total = 0
     for token in body.split(","):
         token = token.strip()
         if not token:
             raise ValueError(f"empty component in partition {text!r}")
-        if "^" in token:
-            base_s, _, exp_s = token.partition("^")
-            base, exp = int(base_s), int(exp_s)
-            if exp < 0:
-                raise ValueError(f"negative multiplicity in {text!r}")
-            parts.extend([base] * exp)
-        else:
-            parts.append(int(token))
+        base_s, caret, exp_s = token.partition("^")
+        base = int(base_s)
+        exp = int(exp_s) if caret else 1
+        if exp < 0:
+            raise ValueError(f"negative multiplicity in {text!r}")
+        if exp and base < 1:
+            raise ValueError(f"partition parts must be positive, got {base} in {text!r}")
+        total += base * exp
+        if total > MAX_PARTITION_SIZE:
+            raise ValueError(
+                f"partition {text!r} is larger than the cap of {MAX_PARTITION_SIZE}"
+            )
+        parts.extend([base] * exp)
     return as_partition(parts)
 
 
@@ -223,23 +236,28 @@ def _runner_levels(beta: BetaSet, r: int) -> list[list[int]]:
     return runners
 
 
-def _removal_sign(beta: BetaSet, r: int, *, lowest_first: bool = False) -> int:
-    """Simulate a maximal sequence of single-runner bead moves, tracking leg parity."""
-    beads = sorted(beta, reverse=True)
-    occupied = set(beads)
-    legs = 0
-    while True:
-        movable = [x for x in beads if x >= r and (x - r) not in occupied]
-        if not movable:
-            return -1 if legs % 2 else 1
-        x = min(movable) if lowest_first else max(movable)
-        y = x - r
-        legs += sum(1 for z in beads if y < z < x)
-        occupied.remove(x)
-        occupied.add(y)
-        beads.remove(x)
-        beads.append(y)
-        beads.sort(reverse=True)
+def r_weight(alpha: Partition, r: int) -> int:
+    """The r-weight alone: how many r-hooks are removed on the way to the r-core.
+
+    This is the sum of level - index over the runner levels, as in
+    r_decompose, but it builds no core, quotient or sign and caches nothing.
+    The beads of a runner with b beads fill its lowest b levels in the core,
+    so the index sum is b(b-1)/2 and the levels need no sorting.  The weight
+    does not depend on the display size, so no beads are padded.
+    """
+    if r < 1:
+        raise ValueError(f"modulus must be >= 1, got {r}")
+    n = sum(alpha)
+    if r > n:
+        return 0
+    if r == 1:
+        return n
+    beads = [0] * r
+    levels = 0
+    for x in beta_set(alpha, len(alpha)):
+        levels += x // r
+        beads[x % r] += 1
+    return levels - sum(b * (b - 1) // 2 for b in beads)
 
 
 @cache
@@ -249,6 +267,11 @@ def r_decompose(alpha: Partition, r: int) -> RDecomposition:
     The beta-set is displayed at the least size that is a multiple of r, and
     quotient component j is read off runner j (bead positions congruent to
     j mod r, with levels giving the component's beta-set).
+
+    Removing the r-hooks slides each bead down its runner and never past
+    another bead of the same runner, so the bead of rank v on runner j ends
+    at j + r*v.  Each move's leg length counts the beads it jumps over, so
+    the sign is the parity of the inversions of that map.
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
@@ -256,14 +279,19 @@ def r_decompose(alpha: Partition, r: int) -> RDecomposition:
     beta = beta_set(alpha, m)
     runners = _runner_levels(beta, r)
     weight = sum(lev - v for levels in runners for v, lev in enumerate(levels))
-    core_beads = [j + r * v for j, levels in enumerate(runners) for v in range(len(levels))]
-    quotient = tuple(from_beta_set(levels) for levels in runners)
+    slot = {
+        j + r * lev: j + r * v
+        for j, levels in enumerate(runners)
+        for v, lev in enumerate(levels)
+    }
+    ends = [slot[x] for x in beta]
+    inversions = sum(1 for i, y in enumerate(ends) for z in ends[i + 1 :] if y < z)
     return RDecomposition(
         r=r,
-        core=from_beta_set(core_beads),
-        quotient=quotient,
+        core=from_beta_set(ends),
+        quotient=tuple(from_beta_set(levels) for levels in runners),
         weight=weight,
-        sign=_removal_sign(beta, r),
+        sign=-1 if inversions % 2 else 1,
     )
 
 

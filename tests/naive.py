@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained (no package
 imports): hook lengths by direct cell counting, rim-hook removal by the
 row-sliding rule on row lengths, partition counting by the pentagonal
-recurrence, and hardcoded small character tables from standard references.
+recurrence, the r-sign by simulating bead moves one at a time, and
+hardcoded small character tables from standard references.
 A bug in the package cannot leak into these.
 """
 
@@ -57,6 +58,30 @@ def naive_can_strip(alpha: tuple[int, ...], lengths: tuple[int, ...]) -> bool:
         naive_can_strip(res, lengths[1:])
         for _, _, _, res in naive_rim_removals(alpha, lengths[0])
     )
+
+
+def naive_removal_sign(beta: tuple[int, ...], r: int, *, lowest_first: bool = False) -> int:
+    """(-1)^(total leg length) over a maximal sequence of single r-bead moves.
+
+    Each step slides one bead from x down to the empty position x - r,
+    the highest movable bead first (or the lowest, with lowest_first); the
+    leg length of the step is the number of beads strictly between.
+    """
+    beads = sorted(beta, reverse=True)
+    occupied = set(beads)
+    legs = 0
+    while True:
+        movable = [x for x in beads if x >= r and (x - r) not in occupied]
+        if not movable:
+            return -1 if legs % 2 else 1
+        x = min(movable) if lowest_first else max(movable)
+        y = x - r
+        legs += sum(1 for z in beads if y < z < x)
+        occupied.remove(x)
+        occupied.add(y)
+        beads.remove(x)
+        beads.append(y)
+        beads.sort(reverse=True)
 
 
 def partition_count(n: int) -> int:

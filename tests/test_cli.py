@@ -186,6 +186,7 @@ def test_vanishing_env_worker_default(capsys, monkeypatch):
         ("vanishing", "--p", "2,3", "--n", "5"),  # one prime only
         ("vanishing", "--p", "2", "--n", "5", "--check-conjecture"),  # p too small
         ("compose", "--core", "2", "--quotient", "(0);(0)", "--r", "2"),  # not a core
+        ("degree", "--alpha", "1^1000000000000"),  # over the size cap, never expanded
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -253,6 +254,20 @@ def test_verify_split_classifier(capsys):
     )
     assert code == 0
     assert "split-classifier" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "split-classifier", "--p", "5"),  # only p = 2, 3
+        ("verify", "--suite", "conjectures", "--p", "2,3"),  # only p >= 5
+    ],
+)
+def test_verify_zero_checks_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "0 checks" in err
+    assert "pass" not in out
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

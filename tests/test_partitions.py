@@ -9,11 +9,12 @@ from conftest import partitions_st
 from naive import (
     naive_can_strip,
     naive_hook_lengths,
+    naive_removal_sign,
     naive_rim_removals,
     partition_count,
 )
 from pvanish.partitions import (
-    _removal_sign,
+    MAX_PARTITION_SIZE,
     as_partition,
     beta_set,
     can_remove_sequence,
@@ -26,6 +27,7 @@ from pvanish.partitions import (
     hook_lengths,
     parse_partition,
     r_decompose,
+    r_weight,
     removable_hooks,
 )
 
@@ -48,13 +50,21 @@ from pvanish.partitions import (
         ("", ()),
         (" ( 5 , 5 ) ", (5, 5)),
         ("(3^0)", ()),
+        (f"(2,1^{MAX_PARTITION_SIZE - 2})", (2,) + (1,) * (MAX_PARTITION_SIZE - 2)),
     ],
 )
 def test_parse_partition(text, expected):
     assert parse_partition(text) == expected
 
 
-@pytest.mark.parametrize("text", ["-1", "(1,,2)", "(2^-1)", "x", "(1,0)"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-1", "(1,,2)", "(2^-1)", "x", "(1,0)",
+        # zero parts or over the size cap: rejected before expansion
+        "1^1000000000000", "(0^1000000000000)", f"(2,1^{MAX_PARTITION_SIZE - 1})",
+    ],
+)
 def test_parse_partition_rejects(text):
     with pytest.raises(ValueError):
         parse_partition(text)
@@ -198,6 +208,19 @@ def test_single_hook_removal_drops_weight_by_one(n, r):
             assert sub.core == dec.core
 
 
+@pytest.mark.parametrize("n", range(0, 15))
+def test_r_weight_matches_decomposition(n):
+    # r > n and r == 1 take the shortcuts
+    for alpha in enumerate_partitions(n):
+        for r in range(1, n + 3):
+            assert r_weight(alpha, r) == r_decompose(alpha, r).weight
+
+
+def test_r_weight_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        r_weight((2, 1), 0)
+
+
 @given(partitions_st(), st.integers(1, 6))
 def test_decomposition_invariants(alpha, r):
     dec = r_decompose(alpha, r)
@@ -229,7 +252,9 @@ def test_removal_sign_is_order_independent(n, r):
     for alpha in enumerate_partitions(n):
         m = r * ((len(alpha) + r - 1) // r)
         beta = beta_set(alpha, m)
-        assert _removal_sign(beta, r) == _removal_sign(beta, r, lowest_first=True)
+        sign = naive_removal_sign(beta, r)
+        assert sign == naive_removal_sign(beta, r, lowest_first=True)
+        assert r_decompose(alpha, r).sign == sign
 
 
 @pytest.mark.parametrize("r", [2, 3])

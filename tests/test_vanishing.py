@@ -6,9 +6,10 @@ import json
 
 import pytest
 
+import pvanish
 from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
-from pvanish.partitions import enumerate_partitions
+from pvanish.partitions import enumerate_partitions, r_decompose
 from pvanish.vanishing import (
     DEFAULT_SWEEP_LIMIT,
     STRUCTURAL_LEVEL,
@@ -38,6 +39,13 @@ def test_singular_partitions_match_predicate(n, p):
     ctx = p_adic_context(n, p)
     expected = tuple(a for a in enumerate_partitions(n) if is_p_singular(a, ctx))
     assert singular_partitions(n, p) == expected
+
+
+def test_singular_filter_builds_no_decompositions():
+    # the b_invariants test reads r-weights only, never the full record
+    pvanish.clear_caches()
+    singular_partitions(20, 2)
+    assert r_decompose.cache_info().currsize == 0
 
 
 def test_witness_is_singular_with_nonzero_value():
