@@ -2,10 +2,12 @@
 
 The value of the irreducible character labelled alpha on the class of cycle
 type beta is computed by peeling one cycle length at a time: peel a part k,
-sum (-1)^leg over all rim hooks of length k, recurse on what is left.  The
-memo key is (remaining label, remaining cycle parts), so the cache is shared
-across queries whenever class suffixes coincide; vanishing sweeps hit the
-same suffixes over and over.
+sum (-1)^leg over all rim hooks of length k, recurse on what is left; once
+only 1-cycles remain, the value is the degree of the remaining label.  Labels
+are beta-set bitmasks (partitions._beta_mask) inside the recursion, and the
+memo key is (remaining label's mask, remaining cycle parts), so the cache is
+shared across queries whenever class suffixes coincide; vanishing sweeps hit
+the same suffixes over and over.
 
 multi_character_value extends the recursion to tuples of labels, where each
 cycle part may be peeled from any component.  That quantity equals the
@@ -24,7 +26,9 @@ from math import comb, factorial, prod
 
 from .partitions import (
     Partition,
-    _hook_moves,
+    _beta_mask,
+    _mask_partition,
+    _rim_moves,
     enumerate_partitions,
     format_partition,
     hook_lengths,
@@ -35,11 +39,20 @@ TABLE_GUARD = 14
 
 
 @cache
-def _char(alpha: Partition, cycles: tuple[int, ...]) -> int:
+def _char(mask: int, cycles: tuple[int, ...]) -> int:
     if not cycles:
         return 1
-    k, rest = cycles[0], cycles[1:]
-    return sum((-1) ** leg * _char(result, rest) for _, leg, result in _hook_moves(alpha, k))
+    k = cycles[0]
+    if k == 1 == cycles[-1]:
+        # cycles are sorted, so both ends being 1 leaves only fixed points,
+        # on which the value is the degree; this also saves a frame per 1-cycle
+        return degree(_mask_partition(mask))
+    rest = cycles[1:]
+    total = 0
+    for leg, new in _rim_moves(mask, k):
+        value = _char(new, rest)
+        total += -value if leg & 1 else value
+    return total
 
 
 def character_value(alpha: Partition, beta: Partition, *, largest_first: bool = True) -> int:
@@ -52,7 +65,7 @@ def character_value(alpha: Partition, beta: Partition, *, largest_first: bool = 
         raise ValueError(f"label {alpha} and class {beta} have different sizes")
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
-    return _char(alpha, tuple(sorted(beta, reverse=largest_first)))
+    return _char(_beta_mask(alpha), tuple(sorted(beta, reverse=largest_first)))
 
 
 def degree(alpha: Partition) -> int:
@@ -68,14 +81,16 @@ def centralizer_order(beta: Partition) -> int:
 
 
 @cache
-def _multi(labels: tuple[Partition, ...], cycles: tuple[int, ...]) -> int:
+def _multi(masks: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     if not cycles:
         return 1
     k, rest = cycles[0], cycles[1:]
     total = 0
-    for i, lab in enumerate(labels):
-        for _, leg, result in _hook_moves(lab, k):
-            total += (-1) ** leg * _multi(labels[:i] + (result,) + labels[i + 1 :], rest)
+    for i, mask in enumerate(masks):
+        head, tail = masks[:i], masks[i + 1 :]
+        for leg, new in _rim_moves(mask, k):
+            value = _multi(head + (new,) + tail, rest)
+            total += -value if leg & 1 else value
     return total
 
 
@@ -89,7 +104,8 @@ def multi_character_value(
     """
     if sum(sum(l) for l in labels) != sum(beta):
         raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
-    return _multi(tuple(labels), tuple(sorted(beta, reverse=largest_first)))
+    masks = tuple(_beta_mask(l) for l in labels)
+    return _multi(masks, tuple(sorted(beta, reverse=largest_first)))
 
 
 def _compositions(total: int, bins: int):

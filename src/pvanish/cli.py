@@ -4,7 +4,9 @@ Subcommands fall into three groups: single evaluations (char, degree),
 partition surgery (decompose, compose, core, quotient, padic), and sweeps
 (vanishing, verify).  Exit codes: 0 means every requested check passed,
 1 means a checked identity or classification failed and the output carries
-a witness, 2 means the invocation itself was malformed.
+a witness, 2 means the invocation itself was malformed, 3 means the
+evaluation itself crashed (recursion depth or memory), which says nothing
+about the mathematics.
 
 All JSON payloads carry "schema_version": 1 at top level.  Text and JSON
 render the same data in the same deterministic order (labels descending
@@ -492,6 +494,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        # a crash of the evaluator, not a failed check: RecursionError is a
+        # RuntimeError, so it has to be caught before the violation branch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except RuntimeError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

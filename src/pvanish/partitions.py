@@ -5,10 +5,11 @@ integers; the empty tuple is the unique partition of 0 and displays as "(0)".
 Everything here treats partitions as immutable values, so results can be
 memoized and shared freely across queries and worker processes.
 
-Rim-hook removal is done on beta-sets: removing a hook of length L from the
-partition with beta-set B means replacing some x in B by x - L when x - L is
-non-negative and not already in B.  The leg length of the removed hook equals
-the number of elements of B strictly between x - L and x.
+Rim-hook removal is done on beta-sets stored as int bitmasks (Maya diagrams,
+James & Kerber 1981, section 2.7): a partition with m parts has a bead at bit
+alpha_i + m - 1 - i for each part.  Removing a hook of length L moves a bead
+from x to an empty position x - L >= 0, which is two bit flips; the leg length
+of the removed hook is the popcount of the bits strictly between x - L and x.
 """
 
 from __future__ import annotations
@@ -149,50 +150,77 @@ class HookRemoval:
     result: Partition
 
 
-def _hook_moves(alpha: Partition, length: int) -> list[tuple[int, int, Partition]]:
-    """(bead index, leg, result) for each removable hook of the given length."""
+@cache
+def _beta_mask(alpha: Partition) -> int:
+    """The beta-set of display size len(alpha) as a bitmask (Maya diagram).
+
+    Bit alpha_i + m - 1 - i is set for each of the m parts.  Bit 0 is clear,
+    so each partition has exactly one mask; the empty partition is 0.
+    """
     m = len(alpha)
-    if m == 0 or length < 1 or length > sum(alpha):
-        return []
-    beads = [alpha[i] + m - 1 - i for i in range(m)]
-    occupied = set(beads)
-    moves = []
-    for i, x in enumerate(beads):
-        y = x - length
-        if y >= 0 and y not in occupied:
-            leg = sum(1 for z in beads if y < z < x)
-            new_beads = beads[:i] + [y] + beads[i + 1 :]
-            moves.append((i, leg, from_beta_set(new_beads)))
-    return moves
+    mask = 0
+    for i, c in enumerate(alpha):
+        mask |= 1 << (c + m - 1 - i)
+    return mask
+
+
+def _mask_partition(mask: int) -> Partition:
+    """Inverse of _beta_mask."""
+    return from_beta_set(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _rim_moves(mask: int, k: int) -> Iterator[tuple[int, int]]:
+    """(leg, new mask) for each removable k-hook, highest bead (top row) first.
+
+    A bead at x + k over a gap at x is a removable k-hook; removing it flips
+    both bits, and its leg is the number of beads strictly between them.  The
+    new mask is shifted right past its trailing ones, which drops the beads of
+    zero-length parts, so it stays the one mask of the remaining partition.
+    """
+    landings = (mask & ~(mask << k)) >> k
+    between = (1 << (k - 1)) - 1
+    ends = (1 << k) | 1
+    while landings:
+        y = landings.bit_length() - 1
+        landings ^= 1 << y
+        new = mask ^ (ends << y)
+        leg = ((mask >> (y + 1)) & between).bit_count()
+        # ~new & (new + 1) is the lowest clear bit; the ones below it go
+        yield leg, new >> ((~new & (new + 1)).bit_length() - 1)
 
 
 def removable_hooks(alpha: Partition, length: int) -> list[HookRemoval]:
     """All removals of a rim hook of the given length, by origin row ascending.
 
     A row holds at most one hook of each length, so the origin column is
-    determined; it is recovered from the bead positions.
+    determined; row and column are read off the bead and the gap it drops to.
     """
-    m = len(alpha)
-    if m == 0:
+    if length < 1:
         return []
-    beads = [alpha[i] + m - 1 - i for i in range(m)]
-    occupied = set(beads)
+    mask = _beta_mask(alpha)
     out = []
-    for i, leg, result in _hook_moves(alpha, length):
-        y = beads[i] - length
-        col = y - sum(1 for b in occupied if b < y) + 1
-        out.append(HookRemoval(row=i + 1, col=col, length=length, leg=leg, result=result))
+    for leg, new in _rim_moves(mask, length):
+        # the gap y the bead drops to: only y = 0 shifts the mask, losing beads
+        diff = mask ^ new
+        y = (diff & -diff).bit_length() - 1 if new.bit_count() == mask.bit_count() else 0
+        out.append(
+            HookRemoval(
+                row=1 + (mask >> (y + length + 1)).bit_count(),
+                col=y + 1 - (mask & ((1 << y) - 1)).bit_count(),
+                length=length,
+                leg=leg,
+                result=_mask_partition(new),
+            )
+        )
     return out
 
 
 @cache
-def _strippable(alpha: Partition, lengths: tuple[int, ...]) -> bool:
+def _strippable(mask: int, lengths: tuple[int, ...]) -> bool:
     if not lengths:
         return True
-    return any(
-        _strippable(result, lengths[1:])
-        for _, _, result in _hook_moves(alpha, lengths[0])
-    )
+    rest = lengths[1:]
+    return any(_strippable(new, rest) for _, new in _rim_moves(mask, lengths[0]))
 
 
 def can_remove_sequence(alpha: Partition, lengths: Iterable[int]) -> bool:
@@ -206,7 +234,7 @@ def can_remove_sequence(alpha: Partition, lengths: Iterable[int]) -> bool:
         raise ValueError(f"hook lengths must be positive: {seq}")
     if sum(seq) > sum(alpha):
         return False
-    return _strippable(alpha, seq)
+    return _strippable(_beta_mask(alpha), seq)
 
 
 @dataclass(frozen=True)
@@ -347,6 +375,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 def clear_caches() -> None:
-    """Drop the process-wide memo tables (hook stripping, decompositions)."""
+    """Drop the process-wide memo tables (beta masks, hook stripping, decompositions)."""
+    _beta_mask.cache_clear()
     _strippable.cache_clear()
     r_decompose.cache_clear()

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive and self-contained (no package
 imports): hook lengths by direct cell counting, rim-hook removal by the
-row-sliding rule on row lengths, partition counting by the pentagonal
-recurrence, the r-sign by simulating bead moves one at a time, and
-hardcoded small character tables from standard references.
+row-sliding rule on row lengths, character values by the plain
+Murnaghan-Nakayama recursion over those removals, partition counting by the
+pentagonal recurrence, the r-sign by simulating bead moves one at a time,
+and hardcoded small character tables from standard references.
 A bug in the package cannot leak into these.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 
 def naive_hook_lengths(alpha: tuple[int, ...]) -> list[list[int]]:
@@ -57,6 +60,28 @@ def naive_can_strip(alpha: tuple[int, ...], lengths: tuple[int, ...]) -> bool:
     return any(
         naive_can_strip(res, lengths[1:])
         for _, _, _, res in naive_rim_removals(alpha, lengths[0])
+    )
+
+
+def naive_character_value(alpha: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama on partition tuples, no memo: peel cycles in the given order.
+
+    Each step sums (-1)^leg over naive_rim_removals of the first cycle length.
+    Once only 1-cycles remain, the value is the number of standard tableaux of
+    what is left, taken from the hook length formula over naive_hook_lengths;
+    counting those tableaux one removal path at a time is exponential in n.
+    """
+    if not cycles:
+        return 1
+    if all(c == 1 for c in cycles):
+        hooks = 1
+        for row in naive_hook_lengths(alpha):
+            for h in row:
+                hooks *= h
+        return factorial(len(cycles)) // hooks
+    return sum(
+        (-1) ** leg * naive_character_value(res, cycles[1:])
+        for _, _, leg, res in naive_rim_removals(alpha, cycles[0])
     )
 
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import partition_pairs_st, partitions_st
-from naive import S4_CLASSES, S4_TABLE, S5_CLASSES, S5_TABLE
+from naive import S4_CLASSES, S4_TABLE, S5_CLASSES, S5_TABLE, naive_character_value
 import pvanish
 from pvanish.characters import (
     TABLE_GUARD,
@@ -21,9 +22,10 @@ from pvanish.characters import (
     induced_character_value,
     merged_cycle_type,
     multi_character_value,
-    _char,
 )
-from pvanish.partitions import conjugate, enumerate_partitions, r_decompose
+from pvanish.padic import is_p_singular, p_adic_context
+from pvanish.partitions import can_remove_sequence, conjugate, enumerate_partitions, r_decompose
+from pvanish.vanishing import list_p_vanishing
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -58,6 +60,22 @@ def test_trivial_sign_and_standard_characters(n):
         if n >= 2:
             fixed = sum(1 for c in beta if c == 1)
             assert character_value((n - 1, 1), beta) == fixed - 1
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_values_match_naive_oracle(n):
+    labels = list(enumerate_partitions(n))
+    for alpha in labels:
+        for beta in labels:
+            expected = naive_character_value(alpha, beta)
+            assert character_value(alpha, beta) == expected, (alpha, beta)
+            assert character_value(alpha, beta, largest_first=False) == expected, (alpha, beta)
+
+
+@given(partition_pairs_st(max_n=16))
+def test_values_match_naive_oracle_random(pair):
+    alpha, beta = pair
+    assert character_value(alpha, beta) == naive_character_value(alpha, beta)
 
 
 def test_known_values():
@@ -252,8 +270,28 @@ def test_character_table_text_is_deterministic():
     assert len(widths) == 1
 
 
+def _memo_tables() -> dict:
+    """Every object with cache_info() defined in a pvanish module, by name."""
+    return {
+        f"{name.split('.', 1)[-1]}.{key}": value
+        for name, mod in sorted(sys.modules.items())
+        if name.split(".")[0] == "pvanish"
+        for key, value in vars(mod).items()
+        if hasattr(value, "cache_info") and getattr(value, "__module__", None) == name
+    }
+
+
 def test_clear_caches_recomputes_identically():
-    before = character_value((4, 3, 1), (3, 3, 2))
     pvanish.clear_caches()
-    assert _char.cache_info().currsize == 0
+    before = character_value((4, 3, 1), (3, 3, 2))
+    multi_character_value(((2, 1), (1,)), (2, 1, 1))
+    factored_character_value((3, 3, 2), 2, (2, 2), ())
+    can_remove_sequence((4, 3, 1), (3, 3))
+    is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
+    list_p_vanishing(p_adic_context(8, 3), audit=True)
+    tables = _memo_tables()
+    assert {"characters._char", "partitions._beta_mask", "partitions._strippable"} <= set(tables)
+    assert [name for name, t in tables.items() if t.cache_info().currsize == 0] == []
+    pvanish.clear_caches()
+    assert {name: t.cache_info().currsize for name, t in tables.items()} == dict.fromkeys(tables, 0)
     assert character_value((4, 3, 1), (3, 3, 2)) == before

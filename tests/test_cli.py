@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,21 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.strip()
 
 
+def test_fixed_point_tail_costs_no_depth(capsys):
+    code, out, _ = run(capsys, "char", "--alpha", "1^1200", "--beta", "1^1200")
+    assert code == 0
+    assert out.strip() == "1"
+
+
+def test_internal_error_exit_3(capsys):
+    # 1000 nested 2-hook removals exceed the default recursion limit
+    code, out, err = run(capsys, "char", "--alpha", "2000", "--beta", "2^1000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "violation" not in err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
@@ -280,3 +297,24 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "equivalence")
     assert code == 1
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# byte-identical --json output
+# ---------------------------------------------------------------------------
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "vanishing --p 7 --n 25 --limit 25 --check-conjecture --json",
+        "vanishing --p 3 --n 24 --limit 24 --audit --json",
+    ],
+)
+def test_json_output_matches_reference_digest(capsys, command):
+    digest = json.loads(REFERENCES.read_text())["sha256"][command]
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

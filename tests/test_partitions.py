@@ -29,6 +29,9 @@ from pvanish.partitions import (
     r_decompose,
     r_weight,
     removable_hooks,
+    _beta_mask,
+    _mask_partition,
+    _rim_moves,
 )
 
 
@@ -163,11 +166,35 @@ def test_from_beta_set_order_insensitive():
 def test_removable_hooks_match_rim_oracle(n):
     for alpha in enumerate_partitions(n):
         for length in range(1, n + 1):
-            got = {
+            got = [
                 (h.row, h.col, h.leg, h.result)
                 for h in removable_hooks(alpha, length)
-            }
-            expected = set(naive_rim_removals(alpha, length))
+            ]
+            expected = list(naive_rim_removals(alpha, length))
+            assert got == expected, (alpha, length)
+
+
+@given(partitions_st())
+def test_beta_mask_is_the_beta_set(alpha):
+    mask = _beta_mask(alpha)
+    assert mask & 1 == 0
+    assert mask == sum(1 << x for x in beta_set(alpha, len(alpha)))
+    assert _mask_partition(mask) == alpha
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_rim_moves_keep_one_mask_per_partition(n):
+    # memo tables key on masks, so a move must land on the result's own mask
+    for alpha in enumerate_partitions(n):
+        for length in range(1, n + 1):
+            got = [
+                (leg, new, _mask_partition(new))
+                for leg, new in _rim_moves(_beta_mask(alpha), length)
+            ]
+            expected = [
+                (leg, _beta_mask(res), res)
+                for _, _, leg, res in naive_rim_removals(alpha, length)
+            ]
             assert got == expected, (alpha, length)
 
 
