@@ -20,7 +20,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", default="5,7", help='comma list of primes >= 5, e.g. "5,7,11"')
     parser.add_argument("--max-n", type=int, default=14, help="inclusive size bound")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
@@ -29,9 +28,7 @@ def main() -> int:
 
     found = 0
     for p in primes:
-        sweep = conjecture_sweep(
-            p, range(args.max_n + 1), limit=args.max_n, workers=args.workers
-        )
+        sweep = conjecture_sweep(p, range(args.max_n + 1), limit=args.max_n)
         print(sweep.summary())
         for item in sweep.counterexamples:
             found += 1

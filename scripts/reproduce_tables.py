@@ -20,16 +20,13 @@ from pvanish.vanishing import list_p_vanishing
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=12, help="inclusive bound per prime")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     disagreements = 0
     for p in (2, 3):
         print(f"p = {p}")
         for n in range(args.max_n + 1):
-            report = list_p_vanishing(
-                p_adic_context(n, p), limit=args.max_n, workers=args.workers
-            )
+            report = list_p_vanishing(p_adic_context(n, p), limit=args.max_n)
             disagreements += len(report.counterexamples)
             row = "  ".join(
                 format_partition(e.parts) + ("" if e.p_adic_type else "*")

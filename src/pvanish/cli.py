@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import verify as verify_mod
@@ -32,81 +30,6 @@ from .partitions import (
     r_decompose,
 )
 from .vanishing import check_conjectures, list_p_vanishing
-
-SUITES = (
-    "equivalence",
-    "orthogonality",
-    "degree-column",
-    "conjugation-twist",
-    "split-classifier",
-    "structure",
-    "factorization",
-    "multichar",
-    "conjectures",
-)
-
-# suite -> (default primes, default bound); bounds are sized so that
-# `verify --suite all` finishes in about a minute on one core
-_SUITE_DEFAULTS: dict[str, tuple[tuple[int, ...], int]] = {
-    "equivalence": ((2, 3, 5), 14),
-    "orthogonality": ((), 8),
-    "degree-column": ((), 12),
-    "conjugation-twist": ((), 10),
-    "split-classifier": ((2, 3), 12),
-    "structure": ((2, 3), 12),
-    "factorization": ((), 9),
-    "multichar": ((), 7),
-    "conjectures": ((5,), 12),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved knobs shared by the sweep commands."""
-
-    primes: tuple[int, ...]
-    ns: tuple[int, ...]
-    limit: int | None
-    workers: int
-    fmt: str  # "text" or "json"
-    cache_mode: str  # "shared" or "per-worker"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        workers = getattr(args, "workers", None)
-        if workers is None:
-            raw = os.environ.get("PVANISH_WORKERS", "1").strip() or "1"
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ValueError(f"PVANISH_WORKERS must be an integer, got {raw!r}")
-        if workers < 1:
-            raise ValueError("worker count must be >= 1")
-        cache_mode = getattr(args, "cache", None)
-        if cache_mode is None:
-            cache_mode = "shared" if workers == 1 else "per-worker"
-        if cache_mode == "shared" and workers > 1:
-            raise ValueError(
-                "cache mode 'shared' runs in a single process; "
-                "use --workers 1 or --cache per-worker"
-            )
-        primes: tuple[int, ...] = ()
-        if getattr(args, "p", None) is not None:
-            primes = _parse_primes(str(args.p))
-        ns: tuple[int, ...] = ()
-        if getattr(args, "n", None) is not None:
-            ns = _parse_range(str(args.n))
-        elif getattr(args, "max_n", None) is not None:
-            ns = tuple(range(args.max_n + 1))
-        return cls(
-            primes=primes,
-            ns=ns,
-            limit=getattr(args, "limit", None),
-            workers=workers,
-            fmt="json" if getattr(args, "json", False) else "text",
-            cache_mode=cache_mode,
-        )
-
 
 def _parse_range(text: str) -> tuple[int, ...]:
     """Accept a single value ("8") or an inclusive range ("0..7")."""
@@ -256,12 +179,10 @@ def _cmd_padic(args: argparse.Namespace) -> int:
 
 
 def _cmd_vanishing(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    if len(config.primes) != 1:
+    primes = _parse_primes(args.p)
+    if len(primes) != 1:
         raise ValueError("vanishing takes exactly one prime")
-    if not config.ns:
-        raise ValueError("vanishing needs --n (a value or a range like 0..7)")
-    p = config.primes[0]
+    p = primes[0]
     if args.check_conjecture and p < 5:
         raise ValueError(
             "--check-conjecture applies to p >= 5; "
@@ -270,13 +191,11 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
 
     reports = []
     scans = []
-    for n in config.ns:
+    for n in _parse_range(args.n):
         ctx = p_adic_context(n, p)
-        report = list_p_vanishing(
-            ctx, limit=config.limit, workers=config.workers, audit=args.audit
-        )
+        report = list_p_vanishing(ctx, limit=args.limit, audit=args.audit)
         if args.check_conjecture:
-            scan = check_conjectures(ctx, limit=config.limit, workers=config.workers)
+            scan = check_conjectures(ctx, limit=args.limit)
             report.counterexamples.extend(scan.counterexamples)
             scans.append(scan)
         reports.append(report)
@@ -317,37 +236,14 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-def _run_suite(name: str, config: RunConfig) -> verify_mod.SuiteResult:
-    default_primes, default_bound = _SUITE_DEFAULTS[name]
-    primes = list(config.primes or default_primes)
-    bound = max(config.ns) if config.ns else default_bound
-    if name == "equivalence":
-        return verify_mod.equivalence_suite(primes, bound)
-    if name == "orthogonality":
-        return verify_mod.orthogonality_suite(bound)
-    if name == "degree-column":
-        return verify_mod.degree_column_suite(bound)
-    if name == "conjugation-twist":
-        return verify_mod.conjugation_twist_suite(bound)
-    if name == "split-classifier":
-        return verify_mod.split_classifier_suite(primes, bound, workers=config.workers)
-    if name == "structure":
-        return verify_mod.structure_suite(primes, bound)
-    if name == "factorization":
-        return verify_mod.factorization_suite(bound)
-    if name == "multichar":
-        return verify_mod.multichar_suite(bound)
-    if name == "conjectures":
-        return verify_mod.conjecture_suite(primes, bound, workers=config.workers)
-    raise ValueError(f"unknown suite {name!r}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    primes = _parse_primes(args.p) if args.p is not None else ()
+    names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        result = _run_suite(name, config)
+        default_primes, default_bound, runner = verify_mod.SUITES[name]
+        bound = default_bound if args.max_n is None else args.max_n
+        result = runner(list(primes or default_primes), bound)
         if not result.checks:
             raise ValueError(
                 f"suite {name!r} ran 0 checks with these options; nothing was verified"
@@ -388,21 +284,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-
-def _add_sweep_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: PVANISH_WORKERS or 1)",
-    )
-    sub.add_argument(
-        "--cache",
-        choices=("shared", "per-worker"),
-        default=None,
-        help="shared: one process, one memo table; per-worker: fork a pool",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -468,15 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for p >= 5, hunt for conjecture counterexamples",
     )
-    _add_sweep_args(sub)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_vanishing)
 
     sub = commands.add_parser("verify", help="batch self-verification sweeps")
-    sub.add_argument("--suite", choices=SUITES + ("all",), required=True)
+    sub.add_argument("--suite", choices=(*verify_mod.SUITES, "all"), required=True)
     sub.add_argument("--p", default=None, help='comma list, e.g. "2,3,5"')
     sub.add_argument("--max-n", type=int, default=None, help="inclusive size bound")
-    _add_sweep_args(sub)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_verify)
 

@@ -3,7 +3,7 @@
 A partition is stored canonically as a tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0 and displays as "(0)".
 Everything here treats partitions as immutable values, so results can be
-memoized and shared freely across queries and worker processes.
+memoized and shared freely across the queries of one process.
 
 Rim-hook removal is done on beta-sets stored as int bitmasks (Maya diagrams,
 James & Kerber 1981, section 2.7): a partition with m parts has a bead at bit
@@ -155,8 +155,12 @@ def _beta_mask(alpha: Partition) -> int:
     """The beta-set of display size len(alpha) as a bitmask (Maya diagram).
 
     Bit alpha_i + m - 1 - i is set for each of the m parts.  Bit 0 is clear,
-    so each partition has exactly one mask; the empty partition is 0.
+    so each partition has exactly one mask; the empty partition is 0.  A label
+    that is not a partition raises ValueError: its mask would be another
+    label's or carry a bead at bit 0, giving silently wrong values.
     """
+    if alpha and (alpha[-1] < 1 or any(a < b for a, b in zip(alpha, alpha[1:]))):
+        raise ValueError(f"label parts must be positive and weakly decreasing: {alpha}")
     m = len(alpha)
     mask = 0
     for i, c in enumerate(alpha):

@@ -16,7 +16,6 @@ counterexamples and only ever report "none found".
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -29,7 +28,7 @@ from .padic import (
 )
 from .partitions import Partition, enumerate_partitions
 
-DEFAULT_SWEEP_LIMIT = 16
+DEFAULT_SWEEP_LIMIT = 30
 
 # Known classification below the structural threshold (n < 8 for p=2,
 # n < 9 for p=3).  base_vanishing_table() recomputes these by brute force on
@@ -86,25 +85,13 @@ def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
     return nonvanishing_witness(beta, ctx.p) is None
 
 
-def _flag_one(args: tuple[Partition, int]) -> bool:
-    beta, p = args
-    return nonvanishing_witness(beta, p) is None
+def vanishing_flags(n: int, p: int) -> dict[Partition, bool]:
+    """Brute-force vanishing flag for every cycle type of S_n, in enumeration order.
 
-
-def vanishing_flags(n: int, p: int, *, workers: int = 1) -> dict[Partition, bool]:
-    """Brute-force vanishing flag for every cycle type of S_n.
-
-    With workers > 1 the betas are farmed out to a process pool; each worker
-    keeps its own memo tables, and the merged output is identical to the
-    sequential run (one flag per beta, enumeration order).
+    One process, one set of memo tables: classes of the same n share class
+    suffixes and singular labels, so the column scans reuse each other's values.
     """
-    betas = list(enumerate_partitions(n))
-    if workers <= 1:
-        return {b: nonvanishing_witness(b, p) is None for b in betas}
-    singular_partitions(n, p)  # prime the parent cache before forking
-    with multiprocessing.Pool(workers) as pool:
-        flags = pool.map(_flag_one, [(b, p) for b in betas], chunksize=8)
-    return dict(zip(betas, flags))
+    return {b: nonvanishing_witness(b, p) is None for b in enumerate_partitions(n)}
 
 
 @cache
@@ -393,7 +380,6 @@ def list_p_vanishing(
     ctx: PAdicContext,
     *,
     limit: int | None = None,
-    workers: int = 1,
     audit: bool = False,
 ) -> VanishReport:
     """All p-vanishing cycle types of S_n, annotated, in enumeration order.
@@ -407,7 +393,7 @@ def list_p_vanishing(
         raise ValueError(
             f"sweep at n={ctx.n} exceeds the limit ({bound}); pass limit= to opt in"
         )
-    flags = vanishing_flags(ctx.n, ctx.p, workers=workers)
+    flags = vanishing_flags(ctx.n, ctx.p)
     structural = ctx.p in STRUCTURAL_LEVEL
     entries: list[VanishEntry] = []
     counterexamples: list[dict] = []
@@ -479,9 +465,7 @@ class ConjectureScan:
         return f"p={self.p} n={self.n}: {len(self.counterexamples)} counterexample(s)"
 
 
-def check_conjectures(
-    ctx: PAdicContext, *, limit: int | None = None, workers: int = 1
-) -> ConjectureScan:
+def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> ConjectureScan:
     """Scan one symmetric group for conjecture counterexamples (p >= 5)."""
     if ctx.p < 5:
         raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
@@ -490,7 +474,7 @@ def check_conjectures(
         raise ValueError(
             f"sweep at n={ctx.n} exceeds the limit ({bound}); pass limit= to opt in"
         )
-    flags = vanishing_flags(ctx.n, ctx.p, workers=workers)
+    flags = vanishing_flags(ctx.n, ctx.p)
     vanishing = [b for b, ok in flags.items() if ok]
     type_mismatches = [b for b in vanishing if not is_p_adic_type(b, ctx)]
     missed_types = []
@@ -556,11 +540,9 @@ class ConjectureSweep:
 
 
 def conjecture_sweep(
-    p: int, ns: range | list[int], *, limit: int | None = None, workers: int = 1
+    p: int, ns: range | list[int], *, limit: int | None = None
 ) -> ConjectureSweep:
-    scans = [
-        check_conjectures(p_adic_context(n, p), limit=limit, workers=workers) for n in ns
-    ]
+    scans = [check_conjectures(p_adic_context(n, p), limit=limit) for n in ns]
     return ConjectureSweep(p=p, scans=scans)
 
 

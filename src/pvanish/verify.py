@@ -9,6 +9,7 @@ they exist to certify ranges, not to shortcut them.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -25,6 +26,7 @@ from .padic import SINGULARITY_METHODS, is_p_singular, p_adic_context
 from .partitions import conjugate, enumerate_partitions, r_decompose
 from .vanishing import (
     audit_vanishing_structure,
+    conjecture_sweep,
     is_p_vanishing_structural,
     vanishing_flags,
 )
@@ -140,7 +142,7 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
 
 
 @_timed
-def split_classifier_suite(primes: list[int], max_n: int, *, workers: int = 1) -> SuiteResult:
+def split_classifier_suite(primes: list[int], max_n: int) -> SuiteResult:
     """Structural classifier agrees with brute force on every cycle type."""
     res = SuiteResult("split-classifier")
     for p in primes:
@@ -148,7 +150,7 @@ def split_classifier_suite(primes: list[int], max_n: int, *, workers: int = 1) -
             continue
         for n in range(max_n + 1):
             ctx = p_adic_context(n, p)
-            for beta, ok in vanishing_flags(n, p, workers=workers).items():
+            for beta, ok in vanishing_flags(n, p).items():
                 res.checks += 1
                 if ok != is_p_vanishing_structural(beta, ctx):
                     res.violations.append(
@@ -244,17 +246,33 @@ def multichar_suite(max_total: int, max_components: int = 3) -> SuiteResult:
 
 
 @_timed
-def conjecture_suite(primes: list[int], max_n: int, *, workers: int = 1) -> SuiteResult:
+def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
     """Counterexample hunt for p >= 5; a found counterexample is a violation."""
-    from .vanishing import conjecture_sweep
-
     res = SuiteResult("conjectures")
     for p in primes:
         if p < 5:
             continue
-        sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n, workers=workers)
+        sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n)
         res.checks += sum(len(list(enumerate_partitions(s.n))) for s in sweep.scans)
         res.violations.extend({**c, "p": p} for c in sweep.counterexamples)
         if not sweep.equivalence_consistent:
             res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})
     return res
+
+
+# Every suite in run order: name -> (default primes, default bound, runner).
+# A runner takes (primes, bound) and looks its suite up by module-global name
+# when it runs, so a rebinding of that global (a tracing wrapper) is honoured.
+# The default bounds are sized so that `verify --suite all` takes about 10 s
+# on one core.
+SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], SuiteResult]]] = {
+    "equivalence": ((2, 3, 5), 22, lambda primes, n: equivalence_suite(primes, n)),
+    "orthogonality": ((), 13, lambda primes, n: orthogonality_suite(n)),
+    "degree-column": ((), 26, lambda primes, n: degree_column_suite(n)),
+    "conjugation-twist": ((), 16, lambda primes, n: conjugation_twist_suite(n)),
+    "split-classifier": ((2, 3), 24, lambda primes, n: split_classifier_suite(primes, n)),
+    "structure": ((2, 3), 24, lambda primes, n: structure_suite(primes, n)),
+    "factorization": ((), 14, lambda primes, n: factorization_suite(n)),
+    "multichar": ((), 7, lambda primes, n: multichar_suite(n)),
+    "conjectures": ((5,), 26, lambda primes, n: conjecture_suite(primes, n)),
+}

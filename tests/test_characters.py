@@ -24,7 +24,13 @@ from pvanish.characters import (
     multi_character_value,
 )
 from pvanish.padic import is_p_singular, p_adic_context
-from pvanish.partitions import can_remove_sequence, conjugate, enumerate_partitions, r_decompose
+from pvanish.partitions import (
+    can_remove_sequence,
+    conjugate,
+    enumerate_partitions,
+    r_decompose,
+    removable_hooks,
+)
 from pvanish.vanishing import list_p_vanishing
 from pvanish.verify import (
     conjugation_twist_suite,
@@ -111,6 +117,22 @@ def test_value_rejects():
         character_value((3, 1), (3,))
     with pytest.raises(ValueError):
         character_value((2,), (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (character_value, ((1, 2), (3,))),  # (2, 1) gives -1, not 0
+        (removable_hooks, ((1, 2), 1)),  # (2, 1) has two removals
+        (can_remove_sequence, ((1, 3), (4,))),  # (3, 1) is strippable
+        (character_value, ((3, 0), (3,))),  # would set a bead at bit 0
+        (multi_character_value, (((1, 2),), (3,))),
+    ],
+    ids=["char", "hooks", "strip", "zero-part", "multi"],
+)
+def test_non_partition_label_rejected(fn, args):
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------

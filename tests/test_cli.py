@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pvanish import cli
+from pvanish import cli, verify
 from pvanish.vanishing import VanishReport
 
 
@@ -155,22 +155,6 @@ def test_vanishing_deterministic(capsys):
     assert first == second
 
 
-def test_vanishing_worker_pool(capsys):
-    pooled = run(capsys, "vanishing", "--p", "2", "--n", "0..7", "--workers", "2")[1]
-    sequential = run(capsys, "vanishing", "--p", "2", "--n", "0..7")[1]
-    assert pooled == sequential
-
-
-def test_vanishing_env_worker_default(capsys, monkeypatch):
-    monkeypatch.setenv("PVANISH_WORKERS", "2")
-    code, out, _ = run(capsys, "vanishing", "--p", "2", "--n", "0..5")
-    assert code == 0
-    monkeypatch.setenv("PVANISH_WORKERS", "zero")
-    code, _, err = run(capsys, "vanishing", "--p", "2", "--n", "0..5")
-    assert code == 2
-    assert "PVANISH_WORKERS" in err
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -182,9 +166,12 @@ def test_vanishing_env_worker_default(capsys, monkeypatch):
         ("char", "--alpha", "3,1", "--beta", "3"),  # size mismatch
         ("char", "--alpha", "x", "--beta", "1"),  # unparsable
         ("padic", "--n", "10", "--p", "4"),  # not prime
-        ("vanishing", "--p", "2", "--n", "18"),  # over the sweep limit
+        ("vanishing", "--p", "2", "--n", "31"),  # over the sweep limit
         ("vanishing", "--p", "2", "--n", "7..3"),  # backwards range
-        ("vanishing", "--p", "2", "--n", "5", "--workers", "2", "--cache", "shared"),
+        ("vanishing", "--p", "2", "--n", "5", "--workers", "2"),  # removed option
+        ("vanishing", "--p", "2", "--n", "5", "--cache", "shared"),  # removed option
+        ("verify", "--suite", "equivalence", "--workers", "2"),  # removed option
+        ("verify", "--suite", "equivalence", "--max-n", "-1"),  # runs 0 checks
         ("vanishing", "--p", "2,3", "--n", "5"),  # one prime only
         ("vanishing", "--p", "2", "--n", "5", "--check-conjecture"),  # p too small
         ("compose", "--core", "2", "--quotient", "(0);(0)", "--r", "2"),  # not a core
@@ -224,7 +211,7 @@ def test_help_exits_0(capsys):
 
 def test_counterexample_exit_1(capsys, monkeypatch):
     # plumbing check only: force one counterexample through the report path
-    def fake_report(ctx, *, limit=None, workers=1, audit=False):
+    def fake_report(ctx, *, limit=None, audit=False):
         return VanishReport(
             n=ctx.n,
             p=ctx.p,
@@ -288,15 +275,20 @@ def test_verify_zero_checks_exit_2(capsys, argv):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    from pvanish.verify import SuiteResult
+    # the registry runner reads the suite's module global when it runs
+    def fake_suite(primes, max_n):
+        return verify.SuiteResult(name="equivalence", checks=1, violations=[{"fake": True}])
 
-    def fake_suite(name, config):
-        return SuiteResult(name="equivalence", checks=1, violations=[{"fake": True}])
-
-    monkeypatch.setattr(cli, "_run_suite", fake_suite)
+    monkeypatch.setattr(verify, "equivalence_suite", fake_suite)
     code, out, _ = run(capsys, "verify", "--suite", "equivalence")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_suite_choices_are_the_registry():
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == [*verify.SUITES, "all"]
 
 
 # ---------------------------------------------------------------------------

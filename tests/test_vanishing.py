@@ -67,11 +67,8 @@ def test_bruteforce_rejects_size_mismatch():
 
 
 @pytest.mark.parametrize("p,n", [(2, 9), (3, 8)])
-def test_worker_pool_matches_sequential(p, n):
-    sequential = vanishing_flags(n, p, workers=1)
-    pooled = vanishing_flags(n, p, workers=2)
-    assert sequential == pooled
-    assert list(sequential) == list(enumerate_partitions(n))
+def test_flags_in_enumeration_order(p, n):
+    assert list(vanishing_flags(n, p)) == list(enumerate_partitions(n))
 
 
 # ---------------------------------------------------------------------------
