@@ -7,7 +7,11 @@ only 1-cycles remain, the value is the degree of the remaining label.  Labels
 are beta-set bitmasks (partitions._beta_mask) inside the recursion, and the
 memo key is (remaining label's mask, remaining cycle parts), so the cache is
 shared across queries whenever class suffixes coincide; vanishing sweeps hit
-the same suffixes over and over.
+the same suffixes over and over.  The vanishing column scan
+(vanishing.nonvanishing_witness) calls the uncached body _char.__wrapped__
+for each top-level (label, class) pair: a sweep evaluates that pair once, so
+storing it would only grow the table (by about 85% of its entries on a p = 7
+hunt), while every deeper pair still goes through the memo.
 
 multi_character_value extends the recursion to tuples of labels, where each
 cycle part may be peeled from any component.  That quantity equals the

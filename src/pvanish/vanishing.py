@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .characters import character_value
+from .characters import _char
 from .padic import (
     PAdicContext,
     is_p_adic_type,
     p_adic_context,
     is_p_singular,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _beta_mask, enumerate_partitions
 
 DEFAULT_SWEEP_LIMIT = 30
 
@@ -71,9 +71,21 @@ def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
 
 @cache
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
-    """A p-singular label with nonzero value on beta, or None if beta p-vanishes."""
+    """A p-singular label with nonzero value on beta, or None if beta p-vanishes.
+
+    The class is checked and sorted once per column, before any label is
+    tried, so a bad class raises even when S_n has no p-singular label.
+    """
+    if any(c < 1 for c in beta):
+        raise ValueError(f"cycle type parts must be positive: {beta}")
+    cycles = tuple(sorted(beta, reverse=True))
+    # The labels are partitions of sum(beta) by construction, so the size check
+    # of character_value is a tautology here.  Each top-level (label, class)
+    # pair is used once, so it bypasses the memo; every deeper pair goes
+    # through _char and is shared with the other columns.
+    uncached = _char.__wrapped__
     for alpha in singular_partitions(sum(beta), p):
-        value = character_value(alpha, beta)
+        value = uncached(_beta_mask(alpha), cycles)
         if value:
             return (alpha, value)
     return None

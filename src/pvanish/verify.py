@@ -12,9 +12,11 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial
+from operator import mul
 
 from .characters import (
     centralizer_order,
+    character_table,
     character_value,
     degree,
     factored_character_value,
@@ -85,24 +87,26 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
     """Row and column orthogonality of the full character table, exactly."""
     res = SuiteResult("orthogonality")
     for n in range(max_n + 1):
-        labels = list(enumerate_partitions(n))
-        table = {
-            (a, b): character_value(a, b) for a in labels for b in labels
-        }
-        sizes = {b: factorial(n) // centralizer_order(b) for b in labels}
-        for a1 in labels:
-            for a2 in labels:
-                total = sum(sizes[b] * table[(a1, b)] * table[(a2, b)] for b in labels)
-                expected = factorial(n) if a1 == a2 else 0
+        table = character_table(n, limit=max_n)
+        labels, rows = table.labels, table.values
+        columns = list(zip(*rows))
+        order = factorial(n)
+        sizes = [order // centralizer_order(b) for b in labels]
+        # class sizes folded into one side of each row sum
+        weighted = [list(map(mul, sizes, row)) for row in rows]
+        for i, a1 in enumerate(labels):
+            for j, a2 in enumerate(labels):
+                total = sum(map(mul, weighted[i], rows[j]))
+                expected = order if i == j else 0
                 res.checks += 1
                 if total != expected:
                     res.violations.append(
                         {"kind": "row", "n": n, "a1": list(a1), "a2": list(a2), "got": total}
                     )
-        for b1 in labels:
-            for b2 in labels:
-                total = sum(table[(a, b1)] * table[(a, b2)] for a in labels)
-                expected = centralizer_order(b1) if b1 == b2 else 0
+        for i, b1 in enumerate(labels):
+            for j, b2 in enumerate(labels):
+                total = sum(map(mul, columns[i], columns[j]))
+                expected = centralizer_order(b1) if i == j else 0
                 res.checks += 1
                 if total != expected:
                     res.violations.append(

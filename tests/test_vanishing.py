@@ -7,6 +7,7 @@ import json
 import pytest
 
 import pvanish
+from pvanish import characters
 from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
 from pvanish.partitions import enumerate_partitions, r_decompose
@@ -59,6 +60,36 @@ def test_witness_is_singular_with_nonzero_value():
         assert is_p_singular(alpha, ctx)
         assert value != 0
         assert character_value(alpha, beta) == value
+
+
+def _first_witness(beta, p):
+    for alpha in singular_partitions(sum(beta), p):
+        value = character_value(alpha, beta)
+        if value:
+            return (alpha, value)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_witness_is_first_nonzero_singular_label(p):
+    for n in range(15):
+        for beta in enumerate_partitions(n):
+            assert nonvanishing_witness(beta, p) == _first_witness(beta, p)
+
+
+def test_witness_scan_keeps_top_level_pairs_out_of_memo():
+    # a label of S_5 either has no 5-hook or loses all of it to one, so only
+    # the empty remainder (0, ()) may be stored, not one entry per label tried
+    pvanish.clear_caches()
+    nonvanishing_witness((5,), 2)
+    assert characters._char.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("beta", [(3, 0), (2, 0), (0,)])
+def test_witness_rejects_non_positive_parts(beta):
+    # S_2 and S_0 have no 2-singular label, so the class is checked before the scan
+    with pytest.raises(ValueError):
+        nonvanishing_witness(beta, 2)
 
 
 def test_bruteforce_rejects_size_mismatch():
