@@ -127,8 +127,24 @@ def p_adic_type_witness(alpha: Partition, ctx: PAdicContext) -> PAdicTypeWitness
 
 
 def is_p_adic_type(alpha: Partition, ctx: PAdicContext) -> bool:
-    """Whether the parts of exact p-valuation i sum to a_i p^i for every i."""
-    return not p_adic_type_witness(alpha, ctx).failures
+    """Whether the parts of exact p-valuation i sum to a_i p^i for every i.
+
+    A digit-sum loop that exits at the first level that fails; the parts left
+    after the top digit sum to 0, so none has valuation above k.
+    p_adic_type_witness gives the same answer with every level's groups.
+    """
+    if sum(alpha) != ctx.n:
+        raise ValueError(f"{alpha} is not a partition of {ctx.n}")
+    p = ctx.p
+    q = 1
+    rest = alpha  # the parts divisible by q = p^i
+    for a in ctx.digits:
+        up = q * p
+        if sum(c for c in rest if c % up) != a * q:
+            return False
+        rest = [c for c in rest if not c % up]
+        q = up
+    return True
 
 
 def weight_digit(alpha: Partition, p: int, i: int) -> int:
@@ -166,6 +182,29 @@ def degree_valuation(alpha: Partition, p: int) -> int:
     return v_fact - sum(valuation(h, p) for row in hook_lengths(alpha) for h in row)
 
 
+def singular_weights(alpha: Partition, ctx: PAdicContext) -> tuple[int, ...] | None:
+    """The p^i-weights the b_invariants test reads, or None if alpha is not p-singular.
+
+    weight_digit(alpha, p, i) is compared with a_i for i = 0, 1, ... and the
+    test stops at the first i that differs, having read the p-, p^2-, ...,
+    p^(i+1)-weights; those are returned in that order.  alpha must be a
+    partition of ctx.n.  No digit differs exactly when the degree is prime to
+    p, and then the result is None.
+    """
+    p = ctx.p
+    weights = []
+    upper = ctx.n  # the 1-weight
+    q = p
+    for a in ctx.digits:
+        lower = r_weight(alpha, q)
+        weights.append(lower)
+        if upper - p * lower != a:
+            return tuple(weights)
+        upper = lower
+        q *= p
+    return None
+
+
 SINGULARITY_METHODS = ("b_invariants", "hooks", "character", "degree")
 
 
@@ -181,14 +220,7 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     if sum(alpha) != ctx.n:
         raise ValueError(f"{alpha} is not a partition of {ctx.n}")
     if method == "b_invariants":
-        # weight_digit(alpha, p, i) for i = 0..k, each weight computed once
-        upper = ctx.n  # the 1-weight
-        for i in range(ctx.k + 1):
-            lower = r_weight(alpha, ctx.p**(i + 1))
-            if upper - ctx.p * lower != ctx.digits[i]:
-                return True
-            upper = lower
-        return False
+        return singular_weights(alpha, ctx) is not None
     if method == "hooks":
         return is_blocked_at_level(alpha, ctx, 0)
     if method == "character":

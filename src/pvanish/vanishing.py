@@ -2,7 +2,11 @@
 
 A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
-that, with early exit on the first witness.  For p = 2 and p = 3 there is
+that, with early exit on the first witness.  It skips, without evaluating
+them, the labels alpha that the weight bound rules out: chi^alpha(beta) = 0
+when, for some q = p^t, the cycles of beta divisible by q sum to more than
+q times the q-weight of alpha (James & Kerber 1981, section 2.7).  The
+q-weights come free from the p-singular filter.  For p = 2 and p = 3 there is
 also a structural classifier: split beta into a head of parts >= p^r that
 must form a p-adic-type partition of div(r) * p^r and a tail that must be a
 p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
@@ -18,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
+from typing import Iterable
 
 from .characters import _char
 from .padic import (
     PAdicContext,
     is_p_adic_type,
     p_adic_context,
-    is_p_singular,
+    singular_weights,
 )
 from .partitions import Partition, _beta_mask, enumerate_partitions
 
@@ -62,16 +68,100 @@ _BASE_TABLE: dict[int, dict[int, frozenset[Partition]]] = {
 STRUCTURAL_LEVEL = {2: 3, 3: 2}
 
 
+class _SingularLabels:
+    """The p-singular labels of S_n in enumeration order, with masks and weights.
+
+    labels[i] has beta mask masks[i].  The labels are grouped by the weight
+    prefix (w_p, w_{p^2}, ...) that the b_invariants filter read on the way
+    to its verdict (padic.singular_weights), so the weights cost nothing
+    beyond the filter itself; a level past a group's prefix is unknown and
+    never prunes.
+    """
+
+    __slots__ = ("p", "labels", "masks", "_groups", "_walks")
+
+    def __init__(self, n: int, p: int) -> None:
+        ctx = p_adic_context(n, p)
+        self.p = p
+        labels: list[Partition] = []
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for alpha in enumerate_partitions(n):
+            weights = singular_weights(alpha, ctx)
+            if weights is not None:
+                groups.setdefault(weights, []).append(len(labels))
+                labels.append(alpha)
+        self.labels = tuple(labels)
+        # computed here, not through the memo of _beta_mask, so a sweep does
+        # not keep a second copy of every mask for the life of the process
+        self.masks = tuple(map(_beta_mask.__wrapped__, labels))
+        self._groups = tuple((w, tuple(idx)) for w, idx in groups.items())
+        self._walks: dict[tuple[int, ...], Iterable[int] | bytearray] = {}
+
+    def candidates(self, cycles: Partition) -> Iterable[int]:
+        """Indices of the labels the bound leaves for this class, ascending.
+
+        The class demands d_q = sum of c/q over its cycles c divisible by
+        q = p^t.  A label with d_q > w_q for some q has value 0 on the class,
+        so only the groups whose prefix covers the demand at every level are
+        walked, in enumeration order.  The choice depends on the demand alone
+        and is kept per demand: no group, one group's indices, every label,
+        or a byte selector over the labels for several groups.
+        """
+        demand = []
+        q = self.p
+        divisible = [c for c in cycles if not c % q]
+        while divisible:
+            demand.append(sum(divisible) // q)
+            q *= self.p
+            divisible = [c for c in divisible if not c % q]
+        if not demand:
+            return range(len(self.labels))
+        key = tuple(demand)
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = self._walk(key)
+        if type(walk) is bytearray:
+            return compress(range(len(self.labels)), walk)
+        return walk
+
+    def _walk(self, demand: tuple[int, ...]) -> Iterable[int] | bytearray:
+        kept = [
+            idx
+            for w, idx in self._groups
+            if all(have >= need for have, need in zip(w, demand))
+        ]
+        if len(kept) == len(self._groups):
+            return range(len(self.labels))
+        if len(kept) <= 1:
+            return kept[0] if kept else ()
+        selector = bytearray(len(self.labels))
+        for idx in kept:
+            for i in idx:
+                selector[i] = 1
+        return selector
+
+
 @cache
+def _singular_labels(n: int, p: int) -> _SingularLabels:
+    return _SingularLabels(n, p)
+
+
 def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
     """All labels of S_n whose character degree is divisible by p."""
-    ctx = p_adic_context(n, p)
-    return tuple(a for a in enumerate_partitions(n) if is_p_singular(a, ctx))
+    return _singular_labels(n, p).labels
 
 
 @cache
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
     """A p-singular label with nonzero value on beta, or None if beta p-vanishes.
+
+    The witness is the first such label in enumeration order.  Labels that
+    the weight bound rules out are skipped without evaluation: peeling the
+    cycles divisible by q = p^t first (the value does not depend on the
+    order), each c-cycle removes a hook of length c, which lowers the
+    q-weight by c/q, so chi^alpha(beta) = 0 whenever the sum of c/q over
+    those cycles exceeds the q-weight of alpha (James & Kerber 1981, 2.7).
+    A skipped label has value 0, so the witness is the same as in a full scan.
 
     The class is checked and sorted once per column, before any label is
     tried, so a bad class raises even when S_n has no p-singular label.
@@ -79,15 +169,17 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
     cycles = tuple(sorted(beta, reverse=True))
+    table = _singular_labels(sum(beta), p)
+    labels, masks = table.labels, table.masks
     # The labels are partitions of sum(beta) by construction, so the size check
     # of character_value is a tautology here.  Each top-level (label, class)
     # pair is used once, so it bypasses the memo; every deeper pair goes
     # through _char and is shared with the other columns.
     uncached = _char.__wrapped__
-    for alpha in singular_partitions(sum(beta), p):
-        value = uncached(_beta_mask(alpha), cycles)
+    for i in table.candidates(cycles):
+        value = uncached(masks[i], cycles)
         if value:
-            return (alpha, value)
+            return (labels[i], value)
     return None
 
 
@@ -560,7 +652,7 @@ def conjecture_sweep(
 
 def clear_caches() -> None:
     """Drop the sweep-level memo tables."""
-    singular_partitions.cache_clear()
+    _singular_labels.cache_clear()
     nonvanishing_witness.cache_clear()
     _vanishing_set.cache_clear()
     base_vanishing_table.cache_clear()

@@ -316,3 +316,22 @@ def test_json_output_matches_reference_digest(capsys, command):
         # the references store verify output with its wall-clock field zeroed
         out = re.sub(r'("elapsed": )-?[0-9][0-9.eE+-]*', r"\g<1>0", out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the --json output of hunts outside the benchmark's references:
+# two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime
+PINNED_DIGESTS = {
+    "vanishing --p 5 --n 35 --limit 35 --check-conjecture --json": (
+        "cb9483e1271a545c23562d5477bbb921d593af4f7632bb6a1f9e20698b8d48e0"
+    ),
+    "vanishing --p 11 --n 30 --limit 30 --check-conjecture --json": (
+        "a3c4c3d3991945a40f28612b16b19fffae37b1bb38d0e17d955934abdaf5e21f"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+def test_json_output_matches_pinned_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]

@@ -16,10 +16,11 @@ from pvanish.padic import (
     p_adic_context,
     p_adic_type_witness,
     p_power_partition,
+    singular_weights,
     valuation,
     weight_digit,
 )
-from pvanish.partitions import enumerate_partitions
+from pvanish.partitions import enumerate_partitions, r_weight
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,14 @@ def test_p_adic_type_witness_consistent(alpha, p):
     assert sorted(c for g in wit.groups.values() for c in g) == sorted(alpha)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_p_adic_type_loop_matches_witness(p):
+    for n in range(23):
+        ctx = p_adic_context(n, p)
+        for alpha in enumerate_partitions(n):
+            assert is_p_adic_type(alpha, ctx) == (not p_adic_type_witness(alpha, ctx).failures)
+
+
 def test_p_adic_type_examples():
     ctx = p_adic_context(8, 3)  # digits (2, 2)
     assert is_p_adic_type((6, 2), ctx)
@@ -127,6 +136,22 @@ def test_weight_digits_nonnegative_and_telescope(alpha, p):
     digits = [weight_digit(alpha, p, i) for i in range(ctx.k + 3)]
     assert all(b >= 0 for b in digits)
     assert sum(b * p**i for i, b in enumerate(digits)) == sum(alpha)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_singular_weights_are_the_filter_prefix(p):
+    for n in range(15):
+        ctx = p_adic_context(n, p)
+        for alpha in enumerate_partitions(n):
+            weights = singular_weights(alpha, ctx)
+            assert (weights is not None) == is_p_singular(alpha, ctx, method="degree")
+            if weights is None:
+                continue
+            # the p^i-weights for i = 1..j+1, where digit j is the first that differs
+            assert weights == tuple(r_weight(alpha, p**i) for i in range(1, len(weights) + 1))
+            j = len(weights) - 1
+            assert [weight_digit(alpha, p, i) for i in range(j)] == list(ctx.digits[:j])
+            assert weight_digit(alpha, p, j) != ctx.digit(j)
 
 
 def test_weight_digits_known_values():

@@ -10,8 +10,9 @@ import pvanish
 from pvanish import characters
 from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
-from pvanish.partitions import enumerate_partitions, r_decompose
+from pvanish.partitions import _beta_mask, enumerate_partitions, r_decompose
 from pvanish.vanishing import (
+    _singular_labels,
     DEFAULT_SWEEP_LIMIT,
     STRUCTURAL_LEVEL,
     audit_vanishing_structure,
@@ -75,6 +76,37 @@ def test_witness_is_first_nonzero_singular_label(p):
     for n in range(15):
         for beta in enumerate_partitions(n):
             assert nonvanishing_witness(beta, p) == _first_witness(beta, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_weight_bound_skips_only_zero_values(p):
+    # a label skipped for a class has a q-weight below the class's demand of
+    # q-hooks for some q = p^t, so its value there must be 0.  A class of
+    # p-adic type demands div(t) at every level t, which the last weight the
+    # filter read of each singular label falls short of, so it keeps none.
+    skipped = 0
+    for n in range(17):
+        ctx = p_adic_context(n, p)
+        table = _singular_labels(n, p)
+        for beta in enumerate_partitions(n):
+            kept = set(table.candidates(beta))
+            assert list(table.candidates(beta)) == sorted(kept)
+            if is_p_adic_type(beta, ctx):
+                assert not kept, beta
+            for i, alpha in enumerate(table.labels):
+                if i not in kept:
+                    skipped += 1
+                    assert character_value(alpha, beta) == 0, (alpha, beta)
+    assert skipped > 0
+
+
+def test_sweep_keeps_no_label_masks():
+    # the scan reads each label's mask from the per-(n, p) table
+    pvanish.clear_caches()
+    ctx = p_adic_context(20, 7)
+    list_p_vanishing(ctx)
+    check_conjectures(ctx)
+    assert _beta_mask.cache_info().currsize == 0
 
 
 def test_witness_scan_keeps_top_level_pairs_out_of_memo():
