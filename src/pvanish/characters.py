@@ -13,11 +13,17 @@ for each top-level (label, class) pair: a sweep evaluates that pair once, so
 storing it would only grow the table (by about 85% of its entries on a p = 7
 hunt), while every deeper pair still goes through the memo.
 
+character_table builds one mask per row and evaluates each cell with _char
+directly: its classes come from enumerate_partitions, so they are already
+positive, sorted and of the right size.
+
 multi_character_value extends the recursion to tuples of labels, where each
 cycle part may be peeled from any component.  That quantity equals the
 character induced from an outer tensor product over a Young subgroup, which
 induced_character_value computes by a different route (distributing cycle
-parts over the components with multinomial weights) for cross-checking.
+parts over the components with multinomial weights) for cross-checking.  It
+hands out the largest cycle lengths first and tries only the splits that fit
+what each component has left, so no split is built only to be thrown away.
 """
 
 from __future__ import annotations
@@ -112,13 +118,17 @@ def multi_character_value(
     return _multi(masks, tuple(sorted(beta, reverse=largest_first)))
 
 
-def _compositions(total: int, bins: int):
-    if bins == 1:
-        yield (total,)
+def _bounded_splits(count: int, caps: tuple[int, ...]):
+    """Every (x_0, ..., x_{s-1}) with sum count and 0 <= x_i <= caps[i], in lex order."""
+    if len(caps) == 1:
+        if count <= caps[0]:
+            yield (count,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, bins - 1):
-            yield (first,) + rest
+    rest = caps[1:]
+    # the first bin takes at least what the other bins cannot hold
+    for first in range(max(0, count - sum(rest)), min(count, caps[0]) + 1):
+        for tail in _bounded_splits(count - first, rest):
+            yield (first,) + tail
 
 
 def induced_character_value(labels: tuple[Partition, ...], beta: Partition) -> int:
@@ -126,30 +136,36 @@ def induced_character_value(labels: tuple[Partition, ...], beta: Partition) -> i
 
     Sum over all ways of distributing the multiset of cycle parts among the
     components so sizes match, weighting each cycle length by the multinomial
-    coefficient of its multiplicity split.
+    coefficient of its multiplicity split.  Cycle lengths are handed out
+    largest first, and a component with r cells left gets at most r // k
+    cycles of length k, so only splits that fit are tried.  Each component's
+    parts then arrive in descending order, and every leaf evaluates the
+    components with _char directly.
     """
-    sizes = [sum(l) for l in labels]
+    sizes = tuple(sum(l) for l in labels)
     if sum(sizes) != sum(beta):
         raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
-    mult = sorted(Counter(beta).items())
-    s = len(labels)
+    if any(c < 1 for c in beta):
+        raise ValueError(f"cycle type parts must be positive: {beta}")
+    masks = tuple(_beta_mask(l) for l in labels)
+    mult = sorted(Counter(beta).items(), reverse=True)
 
     total = 0
 
-    def distribute(idx: int, remaining: list[int], assigned: list[list[int]], weight: int):
+    def distribute(idx: int, remaining: tuple[int, ...], assigned: tuple, weight: int):
         nonlocal total
         if idx == len(mult):
+            # each component holds at most its size and the sizes add up, so
+            # every component is filled exactly
             value = weight
-            for lab, parts in zip(labels, assigned):
-                value *= character_value(lab, tuple(sorted(parts, reverse=True)))
+            for mask, parts in zip(masks, assigned):
+                value *= _char(mask, parts)
                 if value == 0:
                     return
             total += value
             return
         k, count = mult[idx]
-        for split in _compositions(count, s):
-            if any(split[i] * k > remaining[i] for i in range(s)):
-                continue
+        for split in _bounded_splits(count, tuple(r // k for r in remaining)):
             w = weight
             left = count
             for c in split:
@@ -157,12 +173,12 @@ def induced_character_value(labels: tuple[Partition, ...], beta: Partition) -> i
                 left -= c
             distribute(
                 idx + 1,
-                [remaining[i] - split[i] * k for i in range(s)],
-                [assigned[i] + [k] * split[i] for i in range(s)],
+                tuple(r - c * k for r, c in zip(remaining, split)),
+                tuple(parts + (k,) * c for parts, c in zip(assigned, split)),
                 w,
             )
 
-    distribute(0, sizes, [[] for _ in range(s)], 1)
+    distribute(0, sizes, ((),) * len(labels), 1)
     return total
 
 
@@ -231,7 +247,8 @@ def character_table(n: int, *, limit: int = TABLE_GUARD) -> CharacterTable:
         raise ValueError(f"table for n={n} exceeds the guard ({limit}); raise limit= to override")
     labels = tuple(enumerate_partitions(n))
     values = tuple(
-        tuple(character_value(a, b) for b in labels) for a in labels
+        tuple(_char(mask, b) for b in labels)
+        for mask in map(_beta_mask.__wrapped__, labels)
     )
     return CharacterTable(n=n, labels=labels, values=values)
 

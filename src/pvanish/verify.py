@@ -15,6 +15,7 @@ from math import factorial
 from operator import mul
 
 from .characters import (
+    _multi,
     centralizer_order,
     character_table,
     character_value,
@@ -22,10 +23,9 @@ from .characters import (
     factored_character_value,
     induced_character_value,
     merged_cycle_type,
-    multi_character_value,
 )
 from .padic import SINGULARITY_METHODS, is_p_singular, p_adic_context
-from .partitions import conjugate, enumerate_partitions, r_decompose
+from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions, r_decompose
 from .vanishing import (
     audit_vanishing_structure,
     conjecture_sweep,
@@ -117,28 +117,50 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
 
 @_timed
 def degree_column_suite(max_n: int) -> SuiteResult:
-    """Hook-length degree equals the character value on the identity class."""
+    """Hook-length degree obeys the branching rule.
+
+    deg(()) = 1 and deg(alpha) is the sum of deg(alpha minus one corner) over
+    the removable corners.  The branching values are built up from n = 0 on
+    beta-set masks, one 1-hook removal per corner, independently of the hook
+    length formula, so a wrong degree is flagged at every label it affects.
+    """
     res = SuiteResult("degree-column")
+    below: dict[int, int] = {}
     for n in range(max_n + 1):
-        identity = (1,) * n
+        level = {}
         for alpha in enumerate_partitions(n):
+            mask = _beta_mask.__wrapped__(alpha)
+            branching = sum(below[new] for _, new in _rim_moves(mask, 1)) if n else 1
+            level[mask] = branching
+            hook = degree(alpha)
             res.checks += 1
-            if degree(alpha) != character_value(alpha, identity):
-                res.violations.append({"n": n, "alpha": list(alpha)})
+            if hook != branching:
+                res.violations.append(
+                    {"n": n, "alpha": list(alpha), "degree": hook, "branching": branching}
+                )
+        below = level
     return res
 
 
 @_timed
 def conjugation_twist_suite(max_n: int) -> SuiteResult:
-    """Transposing the label multiplies values by the sign of the class."""
+    """Transposing the label multiplies values by the sign of the class.
+
+    Builds the character table of each S_n once and compares the row of the
+    conjugate label with the sign of each class times the row of the label,
+    one check per (label, class) cell.
+    """
     res = SuiteResult("conjugation-twist")
     for n in range(max_n + 1):
-        for alpha in enumerate_partitions(n):
-            alpha_t = conjugate(alpha)
-            for beta in enumerate_partitions(n):
-                sign = (-1) ** (n - len(beta))
+        table = character_table(n, limit=max_n)
+        labels, rows = table.labels, table.values
+        row_of = dict(zip(labels, rows))
+        signs = [(-1) ** (n - len(beta)) for beta in labels]
+        for alpha, row in zip(labels, rows):
+            twisted = row_of[conjugate(alpha)]
+            for beta, sign, value, value_t in zip(labels, signs, row, twisted):
                 res.checks += 1
-                if character_value(alpha_t, beta) != sign * character_value(alpha, beta):
+                if value_t != sign * value:
                     res.violations.append(
                         {"n": n, "alpha": list(alpha), "beta": list(beta)}
                     )
@@ -221,17 +243,22 @@ def _label_tuples(total: int, components: int):
 
 @_timed
 def multichar_suite(max_total: int, max_components: int = 3) -> SuiteResult:
-    """Multi-label values: removal-order independence and the induction formula."""
+    """Multi-label values: removal-order independence and the induction formula.
+
+    Both peel orders (largest and smallest cycle first) run on the recursion
+    directly, with the component masks built once per label tuple.
+    """
     res = SuiteResult("multichar")
     for total in range(max_total + 1):
         classes = list(enumerate_partitions(total))
         for s in range(1, max_components + 1):
             for labels in _label_tuples(total, s):
+                masks = tuple(map(_beta_mask, labels))
                 for lam in classes:
-                    lead = multi_character_value(labels, lam)
+                    lead = _multi(masks, lam)
                     res.checks += 1
                     bad = {}
-                    trail = multi_character_value(labels, lam, largest_first=False)
+                    trail = _multi(masks, lam[::-1])
                     if trail != lead:
                         bad["smallest_first"] = trail
                     induced = induced_character_value(labels, lam)
@@ -277,6 +304,6 @@ SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], SuiteRe
     "split-classifier": ((2, 3), 24, lambda primes, n: split_classifier_suite(primes, n)),
     "structure": ((2, 3), 24, lambda primes, n: structure_suite(primes, n)),
     "factorization": ((), 14, lambda primes, n: factorization_suite(n)),
-    "multichar": ((), 7, lambda primes, n: multichar_suite(n)),
+    "multichar": ((), 8, lambda primes, n: multichar_suite(n)),
     "conjectures": ((5,), 26, lambda primes, n: conjecture_suite(primes, n)),
 }

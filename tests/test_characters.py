@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import product
 from math import factorial
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import given, strategies as st
 from conftest import partition_pairs_st, partitions_st
 from naive import S4_CLASSES, S4_TABLE, S5_CLASSES, S5_TABLE, naive_character_value
 import pvanish
+from pvanish import characters, verify
 from pvanish.characters import (
     TABLE_GUARD,
+    _bounded_splits,
     centralizer_order,
     character_table,
     character_value,
@@ -25,6 +28,7 @@ from pvanish.characters import (
 )
 from pvanish.padic import is_p_singular, p_adic_context
 from pvanish.partitions import (
+    _beta_mask,
     can_remove_sequence,
     conjugate,
     enumerate_partitions,
@@ -101,9 +105,11 @@ def test_peeling_order_is_irrelevant(pair):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_degree_equals_identity_column(n):
+    # the naive oracle counts hook lengths cell by cell; character_value on
+    # the identity class returns degree() itself, so it cannot serve here
     identity = (1,) * n
     for alpha in enumerate_partitions(n):
-        assert degree(alpha) == character_value(alpha, identity)
+        assert degree(alpha) == naive_character_value(alpha, identity)
 
 
 def test_degree_of_staircase_family():
@@ -150,9 +156,68 @@ def test_degree_column_suite_small():
     assert result.passed and result.checks > 0
 
 
+@pytest.fixture
+def wrong_degree(monkeypatch):
+    """Rebind degree, in characters and in verify, to degree + shift(alpha).
+
+    The memo tables are cleared on both sides, so no value computed with the
+    true degree hides the wrong one and none computed with it outlives the test.
+    """
+
+    def patch(shift):
+        def wrong(alpha):
+            return degree(alpha) + shift(alpha)
+
+        monkeypatch.setattr(characters, "degree", wrong)
+        monkeypatch.setattr(verify, "degree", wrong)
+
+    pvanish.clear_caches()
+    yield patch
+    pvanish.clear_caches()
+
+
+def test_degree_column_suite_flags_wrong_degree(wrong_degree):
+    wrong_degree(lambda alpha: 7)
+    result = degree_column_suite(8)
+    assert result.checks == sum(len(list(enumerate_partitions(n))) for n in range(9))
+    assert any(v["n"] >= 1 for v in result.violations)
+
+
+def test_degree_column_suite_flags_one_wrong_label(wrong_degree):
+    wrong_degree(lambda alpha: alpha == (3, 2))
+    result = degree_column_suite(8)
+    assert result.violations == [{"n": 5, "alpha": [3, 2], "degree": 6, "branching": 5}]
+
+
+def test_degree_column_suite_keeps_no_label_masks():
+    pvanish.clear_caches()
+    assert degree_column_suite(12).passed
+    assert _beta_mask.cache_info().currsize == 0
+
+
 def test_conjugation_twist_suite_small():
     result = conjugation_twist_suite(9)
     assert result.passed and result.checks > 0
+
+
+def test_conjugation_twist_suite_flags_flipped_cell(monkeypatch):
+    def flipped(n, *, limit):
+        table = character_table(n, limit=limit)
+        if n != 4:
+            return table
+        # the value of (3,1) on the identity class, 3, turned into -3
+        values = [list(row) for row in table.values]
+        values[table.labels.index((3, 1))][table.labels.index((1, 1, 1, 1))] *= -1
+        return characters.CharacterTable(n, table.labels, tuple(map(tuple, values)))
+
+    monkeypatch.setattr(verify, "character_table", flipped)
+    result = conjugation_twist_suite(5)
+    assert result.checks == sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
+    # the cell is read once from its own row and once from the conjugate's
+    assert result.violations == [
+        {"n": 4, "alpha": [3, 1], "beta": [1, 1, 1, 1]},
+        {"n": 4, "alpha": [2, 1, 1], "beta": [1, 1, 1, 1]},
+    ]
 
 
 @given(partition_pairs_st(max_n=14))
@@ -244,6 +309,25 @@ def test_multi_value_rejects_size_mismatch():
         multi_character_value(((2,), (1,)), (2,))
     with pytest.raises(ValueError):
         induced_character_value(((2,), (1,)), (2,))
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3])
+def test_bounded_splits_are_the_fitting_compositions(bins):
+    for count in range(7):
+        for caps in product(range(7), repeat=bins):
+            # every composition of count into bins parts, in lex order, kept
+            # when each part is within its cap
+            fitting = [
+                x
+                for x in product(range(count + 1), repeat=bins)
+                if sum(x) == count and all(c <= cap for c, cap in zip(x, caps))
+            ]
+            assert list(_bounded_splits(count, caps)) == fitting, (count, caps)
+
+
+def test_induced_value_rejects_non_positive_cycles():
+    with pytest.raises(ValueError, match="positive"):
+        induced_character_value(((2,), (1,)), (3, 0))
 
 
 def test_induced_value_known():

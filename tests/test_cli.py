@@ -306,6 +306,10 @@ REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.jso
         "vanishing --p 7 --n 27 --limit 27 --check-conjecture --json",
         "vanishing --p 3 --n 24 --limit 24 --audit --json",
         "verify --suite orthogonality --max-n 13 --json",
+        "verify --suite conjugation-twist --max-n 14 --json",
+        "verify --suite factorization --max-n 12 --json",
+        "verify --suite multichar --max-n 7 --json",
+        "verify --suite equivalence --p 2,3,5 --max-n 14 --json",
     ],
 )
 def test_json_output_matches_reference_digest(capsys, command):
