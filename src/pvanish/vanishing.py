@@ -14,6 +14,10 @@ and r = 2 for p = 3.  The tail lands below p^r, so a fixed table of small
 cases closes the recursion.  The two classifiers are kept independent and
 compared over full sweeps.
 
+Each (n, p) is classified once per process: vanishing_flags is the one memo
+of a sweep, and every report, audit and scan reads it.  A nonvanishing
+witness is recomputed, by one column scan, only for a class that is reported.
+
 For p >= 5 the classification is conjectural; scan functions hunt for
 counterexamples and only ever report "none found".
 """
@@ -23,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .characters import _char
 from .padic import (
@@ -151,9 +156,11 @@ def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
     return _singular_labels(n, p).labels
 
 
-@cache
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
     """A p-singular label with nonzero value on beta, or None if beta p-vanishes.
+
+    Not memoized: sweeps read vanishing_flags, and only a reported class has
+    its witness scanned for again.
 
     The witness is the first such label in enumeration order.  Labels that
     the weight bound rules out are skipped without evaluation: peeling the
@@ -189,18 +196,17 @@ def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
     return nonvanishing_witness(beta, ctx.p) is None
 
 
-def vanishing_flags(n: int, p: int) -> dict[Partition, bool]:
+@cache
+def vanishing_flags(n: int, p: int) -> Mapping[Partition, bool]:
     """Brute-force vanishing flag for every cycle type of S_n, in enumeration order.
 
-    One process, one set of memo tables: classes of the same n share class
-    suffixes and singular labels, so the column scans reuse each other's values.
+    The one per-class memo of a sweep: each (n, p) is scanned once per process
+    into a read-only mapping that every consumer shares.  The column scans of
+    one n reuse each other's values through the _char memo.
     """
-    return {b: nonvanishing_witness(b, p) is None for b in enumerate_partitions(n)}
-
-
-@cache
-def _vanishing_set(n: int, p: int) -> tuple[Partition, ...]:
-    return tuple(b for b, ok in vanishing_flags(n, p).items() if ok)
+    return MappingProxyType(
+        {b: nonvanishing_witness(b, p) is None for b in enumerate_partitions(n)}
+    )
 
 
 @cache
@@ -210,7 +216,7 @@ def base_vanishing_table(p: int) -> dict[int, frozenset[Partition]]:
         raise ValueError(f"no structural classifier for p={p}")
     table = _BASE_TABLE[p]
     for n, expected in table.items():
-        got = frozenset(_vanishing_set(n, p))
+        got = frozenset(b for b, ok in vanishing_flags(n, p).items() if ok)
         if got != expected:
             raise RuntimeError(
                 f"base table mismatch at p={p}, n={n}: "
@@ -258,10 +264,6 @@ def is_p_vanishing_structural(beta: Partition, ctx: PAdicContext) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _large_part_sum(beta: Partition, bound: int) -> int:
-    return sum(c for c in beta if c >= bound)
-
-
 def _lower_bound_covered(p: int, n: int, t: int) -> bool:
     # congruence cases under which the >= d_t p^t bound is asserted
     if p == 2:
@@ -303,7 +305,8 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
 
     Applicable when, for every t with m <= t <= k, the parts divisible by
     p^t sum to div(t) * p^t; returns None otherwise.  When applicable the
-    two statuses must agree (checked by brute force on both sides).
+    two statuses, read from vanishing_flags, must agree; when no part reaches
+    p^m the tail is beta itself and shares its flag.
     """
     if sum(beta) != ctx.n:
         raise ValueError(f"{beta} is not a partition of {ctx.n}")
@@ -315,8 +318,8 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
             return None
     cut = sum(1 for c in beta if c >= p**m)
     tail = beta[cut:]
-    whole = is_p_vanishing_bruteforce(beta, ctx)
-    part = is_p_vanishing_bruteforce(tail, p_adic_context(sum(tail), p))
+    whole = vanishing_flags(ctx.n, p)[beta]
+    part = whole if cut == 0 else vanishing_flags(sum(tail), p)[tail]
     return whole == part
 
 
@@ -375,14 +378,15 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
     def flag(where: list[dict], name: str, beta: Partition, **details) -> None:
         where.append({"predicate": name, "beta": list(beta), **details})
 
-    vanishing = _vanishing_set(n, p)
+    flags = vanishing_flags(n, p)
+    vanishing = [beta for beta, ok in flags.items() if ok]
     audit.vanishing_count = len(vanishing)
     for beta in vanishing:
         if not beta:
             continue
         for t in range(0, k + 2):
             P = p**t
-            big = _large_part_sum(beta, P)
+            big = sum(c for c in beta if c >= P)
             target = ctx.div(t) * P
 
             tally("large_part_sum_upper")
@@ -430,7 +434,7 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
                 if not _check_min_part(beta, p, t):
                     flag(audit.violations, "min_part", beta, t=t)
 
-    for beta in enumerate_partitions(n):
+    for beta in flags:
         for m in range(0, k + 2):
             outcome = suffix_reduction_check(beta, ctx, m)
             if outcome is None:
@@ -480,6 +484,14 @@ class VanishReport:
         }
 
 
+def _check_sweep_limit(n: int, limit: int | None) -> None:
+    bound = DEFAULT_SWEEP_LIMIT if limit is None else limit
+    if n > bound:
+        raise ValueError(
+            f"sweep at n={n} exceeds the limit ({bound}); pass limit= to opt in"
+        )
+
+
 def list_p_vanishing(
     ctx: PAdicContext,
     *,
@@ -492,11 +504,7 @@ def list_p_vanishing(
     classifier and a disagreement lands in counterexamples.  Sweeps above
     the configured limit must opt in explicitly.
     """
-    bound = DEFAULT_SWEEP_LIMIT if limit is None else limit
-    if ctx.n > bound:
-        raise ValueError(
-            f"sweep at n={ctx.n} exceeds the limit ({bound}); pass limit= to opt in"
-        )
+    _check_sweep_limit(ctx.n, limit)
     flags = vanishing_flags(ctx.n, ctx.p)
     structural = ctx.p in STRUCTURAL_LEVEL
     entries: list[VanishEntry] = []
@@ -573,46 +581,36 @@ def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> Conject
     """Scan one symmetric group for conjecture counterexamples (p >= 5)."""
     if ctx.p < 5:
         raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
-    bound = DEFAULT_SWEEP_LIMIT if limit is None else limit
-    if ctx.n > bound:
-        raise ValueError(
-            f"sweep at n={ctx.n} exceeds the limit ({bound}); pass limit= to opt in"
-        )
-    flags = vanishing_flags(ctx.n, ctx.p)
-    vanishing = [b for b, ok in flags.items() if ok]
-    type_mismatches = [b for b in vanishing if not is_p_adic_type(b, ctx)]
-    missed_types = []
-    for beta, ok in flags.items():
-        if not ok and is_p_adic_type(beta, ctx):
-            witness = nonvanishing_witness(beta, ctx.p)
-            missed_types.append(
+    _check_sweep_limit(ctx.n, limit)
+    a0 = ctx.digit(0)
+    scan = ConjectureScan(ctx.n, ctx.p, [], [], [], [])
+    for beta, ok in vanishing_flags(ctx.n, ctx.p).items():
+        typed = is_p_adic_type(beta, ctx)
+        if ok:
+            scan.vanishing.append(beta)
+            if not typed:
+                scan.type_mismatches.append(beta)
+            small = sum(c for c in beta if c < a0)
+            if small > a0:
+                scan.sum_bound_violations.append(
+                    {
+                        "kind": "small_part_sum_exceeds_last_digit",
+                        "beta": list(beta),
+                        "sum": small,
+                        "bound": a0,
+                    }
+                )
+        elif typed:
+            # reported, so its witness is scanned for again
+            alpha, value = nonvanishing_witness(beta, ctx.p)
+            scan.missed_types.append(
                 {
                     "kind": "p_adic_type_not_vanishing",
                     "beta": list(beta),
-                    "witness": [list(witness[0]), witness[1]],
+                    "witness": [list(alpha), value],
                 }
             )
-    a0 = ctx.digit(0)
-    sum_bound_violations = []
-    for beta in vanishing:
-        small = sum(c for c in beta if c < a0)
-        if small > a0:
-            sum_bound_violations.append(
-                {
-                    "kind": "small_part_sum_exceeds_last_digit",
-                    "beta": list(beta),
-                    "sum": small,
-                    "bound": a0,
-                }
-            )
-    return ConjectureScan(
-        n=ctx.n,
-        p=ctx.p,
-        vanishing=vanishing,
-        type_mismatches=type_mismatches,
-        missed_types=missed_types,
-        sum_bound_violations=sum_bound_violations,
-    )
+    return scan
 
 
 @dataclass
@@ -653,6 +651,5 @@ def conjecture_sweep(
 def clear_caches() -> None:
     """Drop the sweep-level memo tables."""
     _singular_labels.cache_clear()
-    nonvanishing_witness.cache_clear()
-    _vanishing_set.cache_clear()
+    vanishing_flags.cache_clear()
     base_vanishing_table.cache_clear()

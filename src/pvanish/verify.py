@@ -284,7 +284,7 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
         if p < 5:
             continue
         sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n)
-        res.checks += sum(len(list(enumerate_partitions(s.n))) for s in sweep.scans)
+        res.checks += sum(len(vanishing_flags(s.n, p)) for s in sweep.scans)
         res.violations.extend({**c, "p": p} for c in sweep.counterexamples)
         if not sweep.equivalence_consistent:
             res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})

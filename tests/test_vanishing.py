@@ -7,7 +7,7 @@ import json
 import pytest
 
 import pvanish
-from pvanish import characters
+from pvanish import characters, vanishing
 from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
 from pvanish.partitions import _beta_mask, enumerate_partitions, r_decompose
@@ -132,6 +132,66 @@ def test_bruteforce_rejects_size_mismatch():
 @pytest.mark.parametrize("p,n", [(2, 9), (3, 8)])
 def test_flags_in_enumeration_order(p, n):
     assert list(vanishing_flags(n, p)) == list(enumerate_partitions(n))
+
+
+def test_one_flag_table_per_sweep():
+    # the report and the conjecture scan share one scan of (20, 7); witnesses
+    # are not memoized, and the shared table cannot be changed by a caller
+    pvanish.clear_caches()
+    ctx = p_adic_context(20, 7)
+    list_p_vanishing(ctx)
+    check_conjectures(ctx)
+    info = vanishing_flags.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert not hasattr(nonvanishing_witness, "cache_info")
+    flags = vanishing_flags(20, 7)
+    with pytest.raises(TypeError):
+        flags[(20,)] = False
+    assert flags[(20,)] is False
+
+
+def _assert_reported_witness(witness, beta, p):
+    alpha, value = witness
+    assert type(witness) is list and type(alpha) is list
+    alpha = tuple(alpha)
+    assert is_p_singular(alpha, p_adic_context(sum(beta), p))
+    assert value != 0
+    assert character_value(alpha, beta) == value
+    assert (alpha, value) == _first_witness(beta, p)
+
+
+def test_classifier_disagreement_reports_witness(monkeypatch):
+    # a structural split claimed for the identity class, which brute force
+    # finds nonvanishing, must be reported with a witness of that
+    ctx = p_adic_context(8, 2)
+    beta = (1,) * 8
+    assert not vanishing_flags(8, 2)[beta]
+    real = vanishing.structural_split
+    monkeypatch.setattr(
+        vanishing, "structural_split", lambda b, c: 0 if b == beta else real(b, c)
+    )
+    report = list_p_vanishing(ctx)
+    assert report.audits == {"structural_agreement": False}
+    (found,) = report.counterexamples
+    assert found["kind"] == "classifier_disagreement"
+    assert (found["beta"], found["bruteforce"], found["structural"]) == ([1] * 8, False, True)
+    _assert_reported_witness(found["witness"], beta, 2)
+
+
+def test_missed_p_adic_type_reports_witness(monkeypatch):
+    ctx = p_adic_context(10, 5)
+    beta = (4, 3, 2, 1)
+    assert not vanishing_flags(10, 5)[beta]
+    real = vanishing.is_p_adic_type
+    monkeypatch.setattr(
+        vanishing, "is_p_adic_type", lambda b, c: b == beta or real(b, c)
+    )
+    scan = check_conjectures(ctx)
+    assert scan.type_mismatches == [] and scan.sum_bound_violations == []
+    (found,) = scan.missed_types
+    assert found["kind"] == "p_adic_type_not_vanishing"
+    assert found["beta"] == list(beta)
+    _assert_reported_witness(found["witness"], beta, 5)
 
 
 # ---------------------------------------------------------------------------
