@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from pvanish.partitions import MAX_PARTITION_SIZE
 from pvanish.vanishing import conjecture_sweep
 
 
@@ -25,6 +26,9 @@ def main() -> int:
     primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
     if any(p < 5 for p in primes):
         parser.error("conjecture scans apply to p >= 5")
+    if any(p > MAX_PARTITION_SIZE for p in primes):
+        # trial division alone would run for minutes at p near 2^61
+        parser.error(f"primes are capped at {MAX_PARTITION_SIZE}")
 
     found = 0
     for p in primes:

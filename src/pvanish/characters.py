@@ -65,17 +65,16 @@ def _char(mask: int, cycles: tuple[int, ...]) -> int:
     return total
 
 
-def character_value(alpha: Partition, beta: Partition, *, largest_first: bool = True) -> int:
+def character_value(alpha: Partition, beta: Partition) -> int:
     """Character labelled alpha evaluated on the class of cycle type beta.
 
-    Cycle parts are peeled largest first by default; the result does not
-    depend on the order (exposed only to let tests exercise that fact).
+    Cycle parts are peeled largest first; the value does not depend on the order.
     """
     if sum(alpha) != sum(beta):
         raise ValueError(f"label {alpha} and class {beta} have different sizes")
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
-    return _char(_beta_mask(alpha), tuple(sorted(beta, reverse=largest_first)))
+    return _char(_beta_mask(alpha), tuple(sorted(beta, reverse=True)))
 
 
 def degree(alpha: Partition) -> int:
@@ -104,9 +103,7 @@ def _multi(masks: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return total
 
 
-def multi_character_value(
-    labels: tuple[Partition, ...], beta: Partition, *, largest_first: bool = True
-) -> int:
+def multi_character_value(labels: tuple[Partition, ...], beta: Partition) -> int:
     """Character of a label tuple: peel each cycle part from any component.
 
     Equals the character of S_m induced from the outer tensor product of the
@@ -115,7 +112,7 @@ def multi_character_value(
     if sum(sum(l) for l in labels) != sum(beta):
         raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
     masks = tuple(_beta_mask(l) for l in labels)
-    return _multi(masks, tuple(sorted(beta, reverse=largest_first)))
+    return _multi(masks, tuple(sorted(beta, reverse=True)))
 
 
 def _bounded_splits(count: int, caps: tuple[int, ...]):

@@ -24,30 +24,40 @@ from . import verify as verify_mod
 from .characters import character_value, degree
 from .padic import p_adic_context, p_power_partition
 from .partitions import (
+    MAX_PARTITION_SIZE,
     format_partition,
     from_core_and_quotient,
     parse_partition,
     r_decompose,
 )
-from .vanishing import check_conjectures, list_p_vanishing
+from .vanishing import DEFAULT_SWEEP_LIMIT, check_conjectures, list_p_vanishing
 
-def _parse_range(text: str) -> tuple[int, ...]:
+
+def _parse_range(text: str) -> range:
     """Accept a single value ("8") or an inclusive range ("0..7")."""
-    text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi or lo < 0:
-            raise ValueError(f"bad range {text!r}")
-        return tuple(range(lo, hi + 1))
-    value = int(text)
-    if value < 0:
-        raise ValueError("n must be non-negative")
-    return (value,)
+    lo_text, dots, hi_text = text.partition("..")
+    lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    if lo > hi or lo < 0:
+        raise ValueError(f"bad range {text!r}")
+    return range(lo, hi + 1)
+
+
+def _capped(text: str) -> int:
+    """A prime or modulus no larger than MAX_PARTITION_SIZE, checked while parsing.
+
+    Trial division and r-hook displays grow with it; past every size it changes nothing.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value > MAX_PARTITION_SIZE:
+        raise argparse.ArgumentTypeError(f"{value} is over the cap of {MAX_PARTITION_SIZE}")
+    return value
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(_capped(part) for part in text.split(",") if part.strip())
 
 
 def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
@@ -179,19 +189,21 @@ def _cmd_padic(args: argparse.Namespace) -> int:
 
 
 def _cmd_vanishing(args: argparse.Namespace) -> int:
-    primes = _parse_primes(args.p)
-    if len(primes) != 1:
+    if len(args.p) != 1:
         raise ValueError("vanishing takes exactly one prime")
-    p = primes[0]
+    (p,) = args.p
     if args.check_conjecture and p < 5:
         raise ValueError(
             "--check-conjecture applies to p >= 5; "
             "for p in {2, 3} the classifier cross-check always runs"
         )
 
+    ns = _parse_range(args.n)
+    if ns[-1] > args.limit:
+        raise ValueError(f"n={ns[-1]} is past the sweep limit; raise --limit ({args.limit})")
     reports = []
     scans = []
-    for n in _parse_range(args.n):
+    for n in ns:
         ctx = p_adic_context(n, p)
         report = list_p_vanishing(ctx, limit=args.limit, audit=args.audit)
         if args.check_conjecture:
@@ -237,13 +249,12 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    primes = _parse_primes(args.p) if args.p is not None else ()
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
         default_primes, default_bound, runner = verify_mod.SUITES[name]
         bound = default_bound if args.max_n is None else args.max_n
-        result = runner(list(primes or default_primes), bound)
+        result = runner(list(args.p or default_primes), bound)
         if not result.checks:
             raise ValueError(
                 f"suite {name!r} ran 0 checks with these options; nothing was verified"
@@ -306,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("decompose", help="r-core, r-quotient, weight, sign")
     sub.add_argument("--alpha", required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--r", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_decompose)
 
@@ -317,32 +328,34 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help='r components separated by ";", e.g. "(2);(0)"',
     )
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--r", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_compose)
 
     sub = commands.add_parser("core", help="just the r-core")
     sub.add_argument("--alpha", required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--r", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_core)
 
     sub = commands.add_parser("quotient", help="just the r-quotient")
     sub.add_argument("--alpha", required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--r", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_quotient)
 
     sub = commands.add_parser("padic", help="base-p digits and derived data for n")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--p", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_padic)
 
     sub = commands.add_parser("vanishing", help="classify p-vanishing cycle types")
-    sub.add_argument("--p", required=True, help="one prime")
+    sub.add_argument("--p", type=_parse_primes, required=True, help="one prime")
     sub.add_argument("--n", required=True, help='a value or an inclusive range "0..7"')
-    sub.add_argument("--limit", type=int, default=None, help="opt-in cap for large sweeps")
+    sub.add_argument(
+        "--limit", type=int, default=DEFAULT_SWEEP_LIMIT, help="opt-in cap for large sweeps"
+    )
     sub.add_argument("--audit", action="store_true", help="run the structure audits too")
     sub.add_argument(
         "--check-conjecture",
@@ -354,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="batch self-verification sweeps")
     sub.add_argument("--suite", choices=(*verify_mod.SUITES, "all"), required=True)
-    sub.add_argument("--p", default=None, help='comma list, e.g. "2,3,5"')
+    sub.add_argument(
+        "--p", type=_parse_primes, default=None, help='comma list, e.g. "2,3,5"'
+    )
     sub.add_argument("--max-n", type=int, default=None, help="inclusive size bound")
     _add_json(sub)
     sub.set_defaults(handler=_cmd_verify)

@@ -338,7 +338,7 @@ def from_core_and_quotient(core: Partition, quotient: Iterable[Partition], r: in
         raise ValueError(f"modulus must be >= 1, got {r}")
     if len(quot) != r:
         raise ValueError(f"quotient needs exactly {r} components, got {len(quot)}")
-    if r_decompose(core, r).weight != 0:
+    if r_weight(core, r) != 0:
         raise ValueError(f"{core} is not an {r}-core")
     s = (len(core) + r - 1) // r
     runners = _runner_levels(beta_set(core, r * s), r)

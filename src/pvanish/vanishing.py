@@ -5,8 +5,9 @@ degree divisible by p vanishes on it.  The brute-force oracle checks exactly
 that, with early exit on the first witness.  It skips, without evaluating
 them, the labels alpha that the weight bound rules out: chi^alpha(beta) = 0
 when, for some q = p^t, the cycles of beta divisible by q sum to more than
-q times the q-weight of alpha (James & Kerber 1981, section 2.7).  The
-q-weights come free from the p-singular filter.  For p = 2 and p = 3 there is
+q times the q-weight of alpha (James & Kerber 1981, section 2.7).  Only the
+level where the p-singular filter finds a digit mismatch can rule a label out,
+and its weight comes free from the filter.  For p = 2 and p = 3 there is
 also a structural classifier: split beta into a head of parts >= p^r that
 must form a p-adic-type partition of div(r) * p^r and a tail that must be a
 p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
@@ -76,41 +77,38 @@ STRUCTURAL_LEVEL = {2: 3, 3: 2}
 class _SingularLabels:
     """The p-singular labels of S_n in enumeration order, with masks and weights.
 
-    labels[i] has beta mask masks[i].  The labels are grouped by the weight
-    prefix (w_p, w_{p^2}, ...) that the b_invariants filter read on the way
-    to its verdict (padic.singular_weights), so the weights cost nothing
-    beyond the filter itself; a level past a group's prefix is unknown and
-    never prunes.
+    labels[i] has beta mask masks[i].  The weights padic.singular_weights
+    returns read w_{p^i} = div(i) up to the level t <= k where a weight digit
+    first differs from a digit of n, and w_{p^t} < div(t) there.  A class
+    demands at most div(i) hooks at level i, so only level t can prune, and
+    the labels are grouped by the pair (t, w_{p^t}).
     """
 
-    __slots__ = ("p", "labels", "masks", "_groups", "_walks")
+    __slots__ = ("p", "labels", "masks", "_groups", "_selectors")
 
     def __init__(self, n: int, p: int) -> None:
         ctx = p_adic_context(n, p)
         self.p = p
         labels: list[Partition] = []
-        groups: dict[tuple[int, ...], list[int]] = {}
+        self._groups: dict[tuple[int, int], list[int]] = {}
         for alpha in enumerate_partitions(n):
             weights = singular_weights(alpha, ctx)
             if weights is not None:
-                groups.setdefault(weights, []).append(len(labels))
+                self._groups.setdefault((len(weights), weights[-1]), []).append(len(labels))
                 labels.append(alpha)
         self.labels = tuple(labels)
         # computed here, not through the memo of _beta_mask, so a sweep does
         # not keep a second copy of every mask for the life of the process
         self.masks = tuple(map(_beta_mask.__wrapped__, labels))
-        self._groups = tuple((w, tuple(idx)) for w, idx in groups.items())
-        self._walks: dict[tuple[int, ...], Iterable[int] | bytearray] = {}
+        self._selectors: dict[tuple[int, ...], bytearray] = {}
 
     def candidates(self, cycles: Partition) -> Iterable[int]:
         """Indices of the labels the bound leaves for this class, ascending.
 
         The class demands d_q = sum of c/q over its cycles c divisible by
         q = p^t.  A label with d_q > w_q for some q has value 0 on the class,
-        so only the groups whose prefix covers the demand at every level are
-        walked, in enumeration order.  The choice depends on the demand alone
-        and is kept per demand: no group, one group's indices, every label,
-        or a byte selector over the labels for several groups.
+        so a group (t, w) is kept when the demand has no level t or w covers
+        it.  The kept labels are marked in one byte selector per demand.
         """
         demand = []
         q = self.p
@@ -122,28 +120,14 @@ class _SingularLabels:
         if not demand:
             return range(len(self.labels))
         key = tuple(demand)
-        walk = self._walks.get(key)
-        if walk is None:
-            walk = self._walks[key] = self._walk(key)
-        if type(walk) is bytearray:
-            return compress(range(len(self.labels)), walk)
-        return walk
-
-    def _walk(self, demand: tuple[int, ...]) -> Iterable[int] | bytearray:
-        kept = [
-            idx
-            for w, idx in self._groups
-            if all(have >= need for have, need in zip(w, demand))
-        ]
-        if len(kept) == len(self._groups):
-            return range(len(self.labels))
-        if len(kept) <= 1:
-            return kept[0] if kept else ()
-        selector = bytearray(len(self.labels))
-        for idx in kept:
-            for i in idx:
-                selector[i] = 1
-        return selector
+        selector = self._selectors.get(key)
+        if selector is None:
+            selector = self._selectors[key] = bytearray(len(self.labels))
+            for (t, w), idx in self._groups.items():
+                if t > len(key) or w >= key[t - 1]:
+                    for i in idx:
+                        selector[i] = 1
+        return compress(range(len(self.labels)), selector)
 
 
 @cache

@@ -200,12 +200,12 @@ def structure_suite(primes: list[int], max_n: int) -> SuiteResult:
 
 
 @_timed
-def factorization_suite(max_n: int, moduli: tuple[int, ...] = (2, 3, 4, 5)) -> SuiteResult:
+def factorization_suite(max_n: int) -> SuiteResult:
     """Character on a class with cycles divisible by r factors through core and quotient."""
     res = SuiteResult("factorization")
     for n in range(max_n + 1):
         for alpha in enumerate_partitions(n):
-            for r in moduli:
+            for r in (2, 3, 4, 5):
                 dec = r_decompose(alpha, r)
                 rest = n - r * dec.weight
                 for gamma in enumerate_partitions(dec.weight):
@@ -242,16 +242,17 @@ def _label_tuples(total: int, components: int):
 
 
 @_timed
-def multichar_suite(max_total: int, max_components: int = 3) -> SuiteResult:
+def multichar_suite(max_total: int) -> SuiteResult:
     """Multi-label values: removal-order independence and the induction formula.
 
-    Both peel orders (largest and smallest cycle first) run on the recursion
-    directly, with the component masks built once per label tuple.
+    Label tuples have one to three components.  Both peel orders (largest
+    and smallest cycle first) run on the recursion directly, with the
+    component masks built once per label tuple.
     """
     res = SuiteResult("multichar")
     for total in range(max_total + 1):
         classes = list(enumerate_partitions(total))
-        for s in range(1, max_components + 1):
+        for s in (1, 2, 3):
             for labels in _label_tuples(total, s):
                 masks = tuple(map(_beta_mask, labels))
                 for lam in classes:

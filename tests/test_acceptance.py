@@ -153,7 +153,7 @@ def test_ac4_dual_classifier_agreement(capsys):
 
 
 def test_ac5_core_quotient_factorization(capsys):
-    result = factorization_suite(12, (2, 3, 4, 5))
+    result = factorization_suite(12)
     ok = result.passed and result.elapsed < 300.0
     report(
         capsys,

@@ -79,7 +79,8 @@ def test_values_match_naive_oracle(n):
         for beta in labels:
             expected = naive_character_value(alpha, beta)
             assert character_value(alpha, beta) == expected, (alpha, beta)
-            assert character_value(alpha, beta, largest_first=False) == expected, (alpha, beta)
+            smallest_first = characters._char(_beta_mask(alpha), tuple(sorted(beta)))
+            assert smallest_first == expected, (alpha, beta)
 
 
 @given(partition_pairs_st(max_n=16))
@@ -98,8 +99,8 @@ def test_known_values():
 @given(partition_pairs_st(max_n=18))
 def test_peeling_order_is_irrelevant(pair):
     alpha, beta = pair
-    assert character_value(alpha, beta) == character_value(
-        alpha, beta, largest_first=False
+    assert character_value(alpha, beta) == characters._char(
+        _beta_mask(alpha), tuple(sorted(beta))
     )
 
 

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import pvanish
 from pvanish import cli, verify
-from pvanish.vanishing import VanishReport
+from pvanish.partitions import r_decompose
+from pvanish.vanishing import VanishReport, vanishing_flags
 
 
 def run(capsys, *argv):
@@ -68,11 +70,14 @@ def test_decompose_compose_roundtrip(capsys):
     quotient = ";".join(
         "(" + (",".join(str(c) for c in q) or "0") + ")" for q in payload["quotient"]
     )
+    pvanish.clear_caches()
     code, out, _ = run(
         capsys, "compose", "--core", "0", "--quotient", quotient, "--r", "2"
     )
     assert code == 0
     assert out.strip() == "(4)"
+    # the core check reads the weight alone and stores no decomposition
+    assert r_decompose.cache_info().currsize == 0
 
 
 def test_decompose_text(capsys):
@@ -177,12 +182,30 @@ def test_vanishing_deterministic(capsys):
         ("vanishing", "--p", "2", "--n", "5", "--check-conjecture"),  # p too small
         ("compose", "--core", "2", "--quotient", "(0);(0)", "--r", "2"),  # not a core
         ("degree", "--alpha", "1^1000000000000"),  # over the size cap, never expanded
+        # primes and moduli past the size cap, refused before trial division
+        # or an r-hook display of that size
+        ("padic", "--n", "10", "--p", "2305843009213693951"),
+        ("vanishing", "--p", "2305843009213693951", "--n", "5"),
+        ("verify", "--suite", "equivalence", "--p", "2,100003"),
+        ("decompose", "--alpha", "1", "--r", "100000"),
+        ("compose", "--core", "0", "--quotient", "(0)", "--r", "100000"),
+        ("core", "--alpha", "1", "--r", "100000"),
+        ("quotient", "--alpha", "1", "--r", "100000"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+def test_sweep_range_checked_before_sweeping(capsys):
+    # the top of the range is over the limit, so not even n = 0 is classified
+    pvanish.clear_caches()
+    code, _, err = run(capsys, "vanishing", "--p", "2", "--n", "0..31")
+    assert code == 2
+    assert "--limit" in err
+    assert vanishing_flags.cache_info().currsize == 0
 
 
 def test_fixed_point_tail_costs_no_depth(capsys):

@@ -152,6 +152,12 @@ def test_singular_weights_are_the_filter_prefix(p):
             j = len(weights) - 1
             assert [weight_digit(alpha, p, i) for i in range(j)] == list(ctx.digits[:j])
             assert weight_digit(alpha, p, j) != ctx.digit(j)
+            # so the weights read div(1), ..., div(t - 1) and fall short at
+            # level t <= k: the (t, w) key of the vanishing column scan
+            t = len(weights)
+            assert list(weights[:-1]) == [ctx.div(i) for i in range(1, t)]
+            assert weights[-1] < ctx.div(t)
+            assert t <= ctx.k
 
 
 def test_weight_digits_known_values():

@@ -30,3 +30,18 @@ def test_script_runs_clean(script, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_hunt_refuses_prime_past_cap():
+    # 2^61 - 1 is prime; trial division on it would run for minutes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "hunt_counterexamples.py"),
+         "--p", "2305843009213693951"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "capped" in proc.stderr
