@@ -15,6 +15,8 @@ from functools import cache
 from . import characters
 from .partitions import (
     Partition,
+    _beta_mask,
+    _mask_weight,
     can_remove_sequence,
     hook_lengths,
     r_weight,
@@ -182,6 +184,22 @@ def degree_valuation(alpha: Partition, p: int) -> int:
     return v_fact - sum(valuation(h, p) for row in hook_lengths(alpha) for h in row)
 
 
+def _mask_singular_weights(mask: int, ctx: PAdicContext) -> tuple[int, ...] | None:
+    """singular_weights of the partition of ctx.n with this beta mask."""
+    p = ctx.p
+    weights = []
+    upper = ctx.n  # the 1-weight
+    q = p
+    for a in ctx.digits:
+        lower = _mask_weight(mask, q)
+        weights.append(lower)
+        if upper - p * lower != a:
+            return tuple(weights)
+        upper = lower
+        q *= p
+    return None
+
+
 def singular_weights(alpha: Partition, ctx: PAdicContext) -> tuple[int, ...] | None:
     """The p^i-weights the b_invariants test reads, or None if alpha is not p-singular.
 
@@ -189,20 +207,10 @@ def singular_weights(alpha: Partition, ctx: PAdicContext) -> tuple[int, ...] | N
     test stops at the first i that differs, having read the p-, p^2-, ...,
     p^(i+1)-weights; those are returned in that order.  alpha must be a
     partition of ctx.n.  No digit differs exactly when the degree is prime to
-    p, and then the result is None.
+    p, and then the result is None.  The weights are read off one beta mask,
+    built outside the memo of _beta_mask.
     """
-    p = ctx.p
-    weights = []
-    upper = ctx.n  # the 1-weight
-    q = p
-    for a in ctx.digits:
-        lower = r_weight(alpha, q)
-        weights.append(lower)
-        if upper - p * lower != a:
-            return tuple(weights)
-        upper = lower
-        q *= p
-    return None
+    return _mask_singular_weights(_beta_mask.__wrapped__(alpha), ctx)
 
 
 SINGULARITY_METHODS = ("b_invariants", "hooks", "character", "degree")

@@ -10,6 +10,9 @@ James & Kerber 1981, section 2.7): a partition with m parts has a bead at bit
 alpha_i + m - 1 - i for each part.  Removing a hook of length L moves a bead
 from x to an empty position x - L >= 0, which is two bit flips; the leg length
 of the removed hook is the popcount of the bits strictly between x - L and x.
+So the hooks of length L are the beads of mask & (~mask << L), and the
+r-weight, the number of hooks whose length r divides (section 2.7 there), is
+the sum of their popcounts over L = r, 2r, ...
 """
 
 from __future__ import annotations
@@ -159,12 +162,11 @@ def _beta_mask(alpha: Partition) -> int:
     that is not a partition raises ValueError: its mask would be another
     label's or carry a bead at bit 0, giving silently wrong values.
     """
-    if alpha and (alpha[-1] < 1 or any(a < b for a, b in zip(alpha, alpha[1:]))):
+    if alpha and (alpha[-1] < 1 or sorted(alpha, reverse=True) != list(alpha)):
         raise ValueError(f"label parts must be positive and weakly decreasing: {alpha}")
-    m = len(alpha)
     mask = 0
-    for i, c in enumerate(alpha):
-        mask |= 1 << (c + m - 1 - i)
+    for j, c in enumerate(reversed(alpha)):  # j = m - 1 - i
+        mask |= 1 << (c + j)
     return mask
 
 
@@ -268,14 +270,26 @@ def _runner_levels(beta: BetaSet, r: int) -> list[list[int]]:
     return runners
 
 
+def _mask_weight(mask: int, r: int) -> int:
+    """The r-weight of the partition with this beta mask: its hooks of length r, 2r, ...
+
+    A bead at x over a gap at x - L is a hook of length L, so the hooks of
+    length L are the set bits of mask & (~mask << L).  No hook is longer than
+    the top bead, so L stops below mask.bit_length().
+    """
+    gaps = ~mask
+    weight = 0
+    for length in range(r, mask.bit_length(), r):
+        weight += (mask & (gaps << length)).bit_count()
+    return weight
+
+
 def r_weight(alpha: Partition, r: int) -> int:
     """The r-weight alone: how many r-hooks are removed on the way to the r-core.
 
-    This is the sum of level - index over the runner levels, as in
-    r_decompose, but it builds no core, quotient or sign and caches nothing.
-    The beads of a runner with b beads fill its lowest b levels in the core,
-    so the index sum is b(b-1)/2 and the levels need no sorting.  The weight
-    does not depend on the display size, so no beads are padded.
+    It equals the number of hooks of alpha whose length r divides (James &
+    Kerber 1981, 2.7), counted by popcount on the beta mask.  It builds no
+    core, quotient or sign and caches nothing, not even the mask.
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
@@ -284,12 +298,7 @@ def r_weight(alpha: Partition, r: int) -> int:
         return 0
     if r == 1:
         return n
-    beads = [0] * r
-    levels = 0
-    for x in beta_set(alpha, len(alpha)):
-        levels += x // r
-        beads[x % r] += 1
-    return levels - sum(b * (b - 1) // 2 for b in beads)
+    return _mask_weight(_beta_mask.__wrapped__(alpha), r)
 
 
 @cache
@@ -303,7 +312,9 @@ def r_decompose(alpha: Partition, r: int) -> RDecomposition:
     Removing the r-hooks slides each bead down its runner and never past
     another bead of the same runner, so the bead of rank v on runner j ends
     at j + r*v.  Each move's leg length counts the beads it jumps over, so
-    the sign is the parity of the inversions of that map.
+    the sign is the parity of the inversions of that map: the parity of the
+    permutation that sorts the end positions back into decreasing order,
+    which is m minus its number of cycles.
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
@@ -317,13 +328,22 @@ def r_decompose(alpha: Partition, r: int) -> RDecomposition:
         for v, lev in enumerate(levels)
     }
     ends = [slot[x] for x in beta]
-    inversions = sum(1 for i, y in enumerate(ends) for z in ends[i + 1 :] if y < z)
+    order = sorted(range(m), key=ends.__getitem__, reverse=True)
+    seen = bytearray(m)
+    cycles = 0
+    for start in range(m):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                i = order[i]
     return RDecomposition(
         r=r,
         core=from_beta_set(ends),
         quotient=tuple(from_beta_set(levels) for levels in runners),
         weight=weight,
-        sign=-1 if inversions % 2 else 1,
+        sign=-1 if (m - cycles) % 2 else 1,
     )
 
 

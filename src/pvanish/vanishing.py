@@ -7,13 +7,14 @@ them, the labels alpha that the weight bound rules out: chi^alpha(beta) = 0
 when, for some q = p^t, the cycles of beta divisible by q sum to more than
 q times the q-weight of alpha (James & Kerber 1981, section 2.7).  Only the
 level where the p-singular filter finds a digit mismatch can rule a label out,
-and its weight comes free from the filter.  For p = 2 and p = 3 there is
-also a structural classifier: split beta into a head of parts >= p^r that
-must form a p-adic-type partition of div(r) * p^r and a tail that must be a
-p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
-and r = 2 for p = 3.  The tail lands below p^r, so a fixed table of small
-cases closes the recursion.  The two classifiers are kept independent and
-compared over full sweeps.
+and its weight comes free from the filter, which reads every weight off the
+label's beta mask by popcount and keeps that mask for the scan.  For p = 2
+and p = 3 there is also a structural classifier: split beta into a head of
+parts >= p^r that must form a p-adic-type partition of div(r) * p^r and a
+tail that must be a p-vanishing cycle type of the remainder rem(r) < p^r,
+where r = 3 for p = 2 and r = 2 for p = 3.  The tail lands below p^r, so a
+fixed table of small cases closes the recursion.  The two classifiers are
+kept independent and compared over full sweeps.
 
 Each (n, p) is classified once per process: vanishing_flags is the one memo
 of a sweep, and every report, audit and scan reads it.  A nonvanishing
@@ -34,9 +35,9 @@ from typing import Iterable, Mapping
 from .characters import _char
 from .padic import (
     PAdicContext,
+    _mask_singular_weights,
     is_p_adic_type,
     p_adic_context,
-    singular_weights,
 )
 from .partitions import Partition, _beta_mask, enumerate_partitions
 
@@ -77,11 +78,13 @@ STRUCTURAL_LEVEL = {2: 3, 3: 2}
 class _SingularLabels:
     """The p-singular labels of S_n in enumeration order, with masks and weights.
 
-    labels[i] has beta mask masks[i].  The weights padic.singular_weights
-    returns read w_{p^i} = div(i) up to the level t <= k where a weight digit
-    first differs from a digit of n, and w_{p^t} < div(t) there.  A class
-    demands at most div(i) hooks at level i, so only level t can prune, and
-    the labels are grouped by the pair (t, w_{p^t}).
+    labels[i] has beta mask masks[i].  Each enumerated label's weights are
+    read off its mask, by the digit loop of padic.singular_weights; only a
+    singular label's mask is kept.  They read w_{p^i} = div(i) up to the
+    level t <= k where a weight digit first differs from a digit of n, and
+    w_{p^t} < div(t) there.  A class demands at most div(i) hooks at level i,
+    so only level t can prune, and the labels are grouped by the pair
+    (t, w_{p^t}).
     """
 
     __slots__ = ("p", "labels", "masks", "_groups", "_selectors")
@@ -90,16 +93,20 @@ class _SingularLabels:
         ctx = p_adic_context(n, p)
         self.p = p
         labels: list[Partition] = []
+        masks: list[int] = []
         self._groups: dict[tuple[int, int], list[int]] = {}
+        # computed here, not through the memo of _beta_mask, so a sweep does
+        # not keep a second copy of every mask for the life of the process
+        beta_mask = _beta_mask.__wrapped__
         for alpha in enumerate_partitions(n):
-            weights = singular_weights(alpha, ctx)
+            mask = beta_mask(alpha)
+            weights = _mask_singular_weights(mask, ctx)
             if weights is not None:
                 self._groups.setdefault((len(weights), weights[-1]), []).append(len(labels))
                 labels.append(alpha)
+                masks.append(mask)
         self.labels = tuple(labels)
-        # computed here, not through the memo of _beta_mask, so a sweep does
-        # not keep a second copy of every mask for the life of the process
-        self.masks = tuple(map(_beta_mask.__wrapped__, labels))
+        self.masks = tuple(masks)
         self._selectors: dict[tuple[int, ...], bytearray] = {}
 
     def candidates(self, cycles: Partition) -> Iterable[int]:
@@ -284,6 +291,32 @@ def _check_min_part(beta: Partition, p: int, t: int) -> bool:
     return len(beta) >= 4 and beta[-3:] == (2, 1, 1) and beta[-4] >= 4
 
 
+def _lowest_suffix_level(beta: Partition, ctx: PAdicContext) -> int:
+    """The least m at which suffix_reduction_check applies to beta.
+
+    Walks the levels t = k, k - 1, ... down and stops at the first whose parts
+    divisible by p^t do not sum to div(t) * p^t; every m above it applies.
+    """
+    p = ctx.p
+    m = ctx.k + 1
+    while m:
+        q = p ** (m - 1)
+        if sum(c for c in beta if not c % q) != ctx.div(m - 1) * q:
+            break
+        m -= 1
+    return m
+
+
+def _suffix_reduction_holds(beta: Partition, p: int, m: int, whole: bool) -> bool:
+    """Whether beta's parts below p^m share beta's vanishing flag, whole."""
+    q = p**m
+    cut = sum(1 for c in beta if c >= q)
+    if cut == 0:
+        return True  # the tail is beta itself
+    tail = beta[cut:]
+    return vanishing_flags(sum(tail), p)[tail] == whole
+
+
 def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool | None:
     """Compare vanishing status of beta and of its parts below p^m.
 
@@ -296,15 +329,9 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
         raise ValueError(f"{beta} is not a partition of {ctx.n}")
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    p = ctx.p
-    for t in range(m, ctx.k + 1):
-        if ctx.div(t) * p**t != sum(c for c in beta if c % p**t == 0):
-            return None
-    cut = sum(1 for c in beta if c >= p**m)
-    tail = beta[cut:]
-    whole = vanishing_flags(ctx.n, p)[beta]
-    part = whole if cut == 0 else vanishing_flags(sum(tail), p)[tail]
-    return whole == part
+    if m < _lowest_suffix_level(beta, ctx):
+        return None
+    return _suffix_reduction_holds(beta, ctx.p, m, vanishing_flags(ctx.n, ctx.p)[beta])
 
 
 @dataclass
@@ -418,14 +445,15 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
                 if not _check_min_part(beta, p, t):
                     flag(audit.violations, "min_part", beta, t=t)
 
-    for beta in flags:
-        for m in range(0, k + 2):
-            outcome = suffix_reduction_check(beta, ctx, m)
-            if outcome is None:
-                continue
-            tally("suffix_reduction")
-            if not outcome:
+    # one walk over the levels per class gives every m the check applies at
+    applicable = 0
+    for beta, whole in flags.items():
+        low = _lowest_suffix_level(beta, ctx)
+        applicable += k + 2 - low
+        for m in range(low, k + 2):
+            if not _suffix_reduction_holds(beta, p, m, whole):
                 flag(audit.violations, "suffix_reduction", beta, m=m)
+    audit.checked["suffix_reduction"] = applicable
 
     return audit
 

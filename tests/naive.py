@@ -5,7 +5,8 @@ imports): hook lengths by direct cell counting, rim-hook removal by the
 row-sliding rule on row lengths, character values by the plain
 Murnaghan-Nakayama recursion over those removals, partition counting by the
 pentagonal recurrence, the r-sign by simulating bead moves one at a time,
-and hardcoded small character tables from standard references.
+the r-weight both from the abacus runners and by counting hook lengths, and
+hardcoded small character tables from standard references.
 A bug in the package cannot leak into these.
 """
 
@@ -107,6 +108,29 @@ def naive_removal_sign(beta: tuple[int, ...], r: int, *, lowest_first: bool = Fa
         beads.remove(x)
         beads.append(y)
         beads.sort(reverse=True)
+
+
+def naive_weight(alpha: tuple[int, ...], r: int) -> int:
+    """The r-weight from the abacus: sum over the beads of level minus rank on its runner.
+
+    The beta-set of display size len(alpha) puts a bead at alpha_i + m - 1 - i.
+    The bead at x sits on runner x % r at level x // r; in the r-core the b
+    beads of a runner fill its levels 0..b-1, so the weight is the sum of the
+    levels minus b(b-1)/2 per runner.
+    """
+    m = len(alpha)
+    beads = [0] * r
+    levels = 0
+    for i, c in enumerate(alpha):
+        x = c + m - 1 - i
+        levels += x // r
+        beads[x % r] += 1
+    return levels - sum(b * (b - 1) // 2 for b in beads)
+
+
+def naive_hook_weight(alpha: tuple[int, ...], r: int) -> int:
+    """The r-weight as the number of cells whose hook length r divides."""
+    return sum(1 for row in naive_hook_lengths(alpha) for h in row if h % r == 0)
 
 
 def partition_count(n: int) -> int:

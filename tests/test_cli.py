@@ -80,6 +80,22 @@ def test_decompose_compose_roundtrip(capsys):
     assert r_decompose.cache_info().currsize == 0
 
 
+def test_decompose_long_column_matches_compose(capsys):
+    # a 4,000-bead display: the sign must not cost a pass over every pair of beads
+    code, out, _ = run(capsys, "decompose", "--alpha", "1^2000", "--r", "1999", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    # one 1999-hook, the first column down to its last cell, leg 1998
+    assert payload["core"] == [1]
+    assert payload["weight"] == 1 and payload["sign"] == 1
+    quotient = ";".join(
+        "(" + (",".join(str(c) for c in q) or "0") + ")" for q in payload["quotient"]
+    )
+    code, out, _ = run(capsys, "compose", "--core", "1", "--quotient", quotient, "--r", "1999")
+    assert code == 0
+    assert out.strip() == "(" + ",".join(["1"] * 2000) + ")"
+
+
 def test_decompose_text(capsys):
     code, out, _ = run(capsys, "decompose", "--alpha", "2,1", "--r", "2")
     assert code == 0
@@ -352,15 +368,22 @@ def test_json_output_matches_reference_digest(capsys, command):
 
 
 # SHA-256 of the --json output of hunts outside the benchmark's references:
-# two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime; and
-# of the two verify suites that read the brute-force flag table, with their
-# wall-clock "elapsed" zeroed as in the references
+# two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime; of
+# audited sweeps at a size and a prime the references do not cover (k = 2 at
+# p = 5); and of the two verify suites that read the brute-force flag table,
+# with their wall-clock "elapsed" zeroed as in the references
 PINNED_DIGESTS = {
     "vanishing --p 5 --n 35 --limit 35 --check-conjecture --json": (
         "cb9483e1271a545c23562d5477bbb921d593af4f7632bb6a1f9e20698b8d48e0"
     ),
     "vanishing --p 11 --n 30 --limit 30 --check-conjecture --json": (
         "a3c4c3d3991945a40f28612b16b19fffae37b1bb38d0e17d955934abdaf5e21f"
+    ),
+    "vanishing --p 2 --n 26 --limit 26 --audit --json": (
+        "fd1ee78f909f07f5ea64c753969c4d632811bfdf19fe20f29b2ff52bf040341a"
+    ),
+    "vanishing --p 5 --n 26 --limit 26 --audit --json": (
+        "964051163e5b3ea55998d38db5b04cff67abc7929bae3ce30597a2f55dad9007"
     ),
     "verify --suite structure --p 2,3 --max-n 16 --json": (
         "cdea45657074ba2c0d91090a4b5438431fa2039ef5670ea3a3a6e4aded6150c3"

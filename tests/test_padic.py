@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import partitions_st, primes_st
+from naive import naive_hook_weight, naive_weight
 from pvanish.characters import degree
 from pvanish.padic import (
     SINGULARITY_METHODS,
@@ -136,6 +137,29 @@ def test_weight_digits_nonnegative_and_telescope(alpha, p):
     digits = [weight_digit(alpha, p, i) for i in range(ctx.k + 3)]
     assert all(b >= 0 for b in digits)
     assert sum(b * p**i for i, b in enumerate(digits)) == sum(alpha)
+
+
+def _filter_prefix(alpha, ctx, weight):
+    # the b_invariants digit loop, on the given weight function
+    p = ctx.p
+    weights = []
+    for i, a in enumerate(ctx.digits):
+        weights.append(weight(alpha, p ** (i + 1)))
+        if weight(alpha, p**i) - p * weights[-1] != a:
+            return tuple(weights)
+    return None
+
+
+@pytest.mark.parametrize("n", range(0, 19))
+def test_singular_weights_match_naive_weights(n):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        if p > n + 2:
+            break
+        ctx = p_adic_context(n, p)
+        for alpha in enumerate_partitions(n):
+            expected = _filter_prefix(alpha, ctx, naive_weight)
+            assert _filter_prefix(alpha, ctx, naive_hook_weight) == expected
+            assert singular_weights(alpha, ctx) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

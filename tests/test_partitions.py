@@ -9,7 +9,9 @@ from conftest import partitions_st
 from naive import (
     naive_can_strip,
     naive_hook_lengths,
+    naive_hook_weight,
     naive_removal_sign,
+    naive_weight,
     naive_rim_removals,
     partition_count,
 )
@@ -31,6 +33,7 @@ from pvanish.partitions import (
     removable_hooks,
     _beta_mask,
     _mask_partition,
+    _mask_weight,
     _rim_moves,
 )
 
@@ -246,6 +249,26 @@ def test_r_weight_matches_decomposition(n):
 def test_r_weight_rejects_bad_modulus():
     with pytest.raises(ValueError):
         r_weight((2, 1), 0)
+
+
+@pytest.mark.parametrize("n", range(0, 19))
+def test_weight_popcount_matches_naive_oracles(n):
+    # the runner formula and the count of hook lengths divisible by q agree,
+    # and r_weight and the mask popcount equal both; q > n and q = 1 included
+    for alpha in enumerate_partitions(n):
+        mask = _beta_mask.__wrapped__(alpha)
+        for q in range(1, n + 3):
+            expected = naive_weight(alpha, q)
+            assert naive_hook_weight(alpha, q) == expected
+            assert r_weight(alpha, q) == expected
+            assert _mask_weight(mask, q) == expected
+
+
+def test_r_weight_keeps_no_masks():
+    _beta_mask.cache_clear()
+    for alpha in enumerate_partitions(12):
+        r_weight(alpha, 2)
+    assert _beta_mask.cache_info().currsize == 0
 
 
 @given(partitions_st(), st.integers(1, 6))

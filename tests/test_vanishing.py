@@ -316,6 +316,68 @@ def test_suffix_reduction_rejects():
         suffix_reduction_check((4, 2, 1), ctx, -1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(0, 21))
+def test_suffix_reduction_audit_matches_per_level_checks(n, p):
+    # the audit's one walk per class against one suffix_reduction_check per
+    # (class, m), and the applicability read straight off the definition
+    ctx = p_adic_context(n, p)
+    checked = 0
+    violations = []
+    for beta in enumerate_partitions(n):
+        for m in range(0, ctx.k + 2):
+            outcome = suffix_reduction_check(beta, ctx, m)
+            applicable = all(
+                sum(c for c in beta if c % p**t == 0) == ctx.div(t) * p**t
+                for t in range(m, ctx.k + 1)
+            )
+            assert (outcome is not None) == applicable
+            if outcome is None:
+                continue
+            checked += 1
+            if not outcome:
+                violations.append({"predicate": "suffix_reduction", "beta": list(beta), "m": m})
+    audit = audit_vanishing_structure(ctx)
+    assert audit.checked["suffix_reduction"] == checked
+    assert [v for v in audit.violations if v["predicate"] == "suffix_reduction"] == violations
+
+
+def _flip_flag(monkeypatch, n, p, beta):
+    # a scratch copy of one vanishing_flags table with one flag flipped
+    real = vanishing.vanishing_flags
+    scratch = dict(real(n, p))
+    scratch[beta] = not scratch[beta]
+    monkeypatch.setattr(
+        vanishing, "vanishing_flags", lambda m, q: scratch if (m, q) == (n, p) else real(m, q)
+    )
+
+
+def _suffix_levels_reported(audit, beta):
+    return [
+        v["m"]
+        for v in audit.violations
+        if v["predicate"] == "suffix_reduction" and v["beta"] == list(beta)
+    ]
+
+
+def test_suffix_reduction_audit_reports_a_mutated_class_flag(monkeypatch):
+    # (4, 2, 1) applies at m = 0..3; its tails (), (1) and (2, 1) below
+    # 1, 2 and 4 vanish, and at m = 3 the tail is the class itself
+    ctx = p_adic_context(7, 2)
+    assert not _suffix_levels_reported(audit_vanishing_structure(ctx), (4, 2, 1))
+    _flip_flag(monkeypatch, 7, 2, (4, 2, 1))
+    assert _suffix_levels_reported(audit_vanishing_structure(ctx), (4, 2, 1)) == [0, 1, 2]
+    assert suffix_reduction_check((4, 2, 1), ctx, 1) is False
+    assert suffix_reduction_check((4, 2, 1), ctx, 3) is True
+
+
+def test_suffix_reduction_audit_reports_a_mutated_tail_flag(monkeypatch):
+    # only the level that cuts (4, 2, 1) down to (2, 1) reads the flipped flag
+    _flip_flag(monkeypatch, 3, 2, (2, 1))
+    audit = audit_vanishing_structure(p_adic_context(7, 2))
+    assert _suffix_levels_reported(audit, (4, 2, 1)) == [2]
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
