@@ -370,8 +370,10 @@ def test_json_output_matches_reference_digest(capsys, command):
 # SHA-256 of the --json output of hunts outside the benchmark's references:
 # two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime; of
 # audited sweeps at a size and a prime the references do not cover (k = 2 at
-# p = 5); and of the two verify suites that read the brute-force flag table,
-# with their wall-clock "elapsed" zeroed as in the references
+# p = 5) and at n = 36 for p = 2, 3, with a p = 7 hunt at n = 40, sizes where
+# the closed-form tiers decide almost every class; and of the two verify
+# suites that read the brute-force flag table, with their wall-clock
+# "elapsed" zeroed as in the references
 PINNED_DIGESTS = {
     "vanishing --p 5 --n 35 --limit 35 --check-conjecture --json": (
         "cb9483e1271a545c23562d5477bbb921d593af4f7632bb6a1f9e20698b8d48e0"
@@ -384,6 +386,15 @@ PINNED_DIGESTS = {
     ),
     "vanishing --p 5 --n 26 --limit 26 --audit --json": (
         "964051163e5b3ea55998d38db5b04cff67abc7929bae3ce30597a2f55dad9007"
+    ),
+    "vanishing --p 2 --n 36 --limit 36 --audit --json": (
+        "bbd2235d67f3777c37e184159fc1972ff97a153167352b00f4734c266b53bb18"
+    ),
+    "vanishing --p 3 --n 36 --limit 36 --audit --json": (
+        "e30d5ed539fcff98842aac74c6855c6a09fc20c0da1743c90bdf1f004a112d84"
+    ),
+    "vanishing --p 7 --n 40 --limit 40 --check-conjecture --json": (
+        "9b52c56ee2ac67d3f68ed83ec6f1317bf0724423902162ceb500a15571452005"
     ),
     "verify --suite structure --p 2,3 --max-n 16 --json": (
         "cdea45657074ba2c0d91090a4b5438431fa2039ef5670ea3a3a6e4aded6150c3"
