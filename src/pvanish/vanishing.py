@@ -17,8 +17,17 @@ fixed table of small cases closes the recursion.  The two classifiers are
 kept independent and compared over full sweeps.
 
 Each (n, p) is classified once per process: vanishing_flags is the one memo
-of a sweep, and every report, audit and scan reads it.  A nonvanishing
-witness is recomputed, by one column scan, only for a class that is reported.
+of a sweep, and every report, audit and scan reads it.  It walks the
+partitions of n once.  Read as labels, they fill the table of p-singular
+labels that the oracle scans.  Read as classes, two closed-form tiers decide
+almost all of them: a class is nonvanishing as soon as a p-singular two-row
+label (Young's rule) or hook label (Macdonald 1995, ch. I) is nonzero on it,
+and both families come from two integer polynomials per class, packed into
+one int each and shared along the prefix that consecutive partitions have in
+common.  Only the classes that neither tier decides go to the brute-force
+oracle, nonvanishing_witness, whose witness does not depend on the tiers.
+A nonvanishing witness is recomputed, by one column scan, only for a class
+that is reported.
 
 For p >= 5 the classification is conjectural; scan functions hunt for
 counterexamples and only ever report "none found".
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .characters import _char
 from .padic import (
@@ -78,36 +87,32 @@ STRUCTURAL_LEVEL = {2: 3, 3: 2}
 class _SingularLabels:
     """The p-singular labels of S_n in enumeration order, with masks and weights.
 
-    labels[i] has beta mask masks[i].  Each enumerated label's weights are
-    read off its mask, by the digit loop of padic.singular_weights; only a
-    singular label's mask is kept.  They read w_{p^i} = div(i) up to the
-    level t <= k where a weight digit first differs from a digit of n, and
-    w_{p^t} < div(t) there.  A class demands at most div(i) hooks at level i,
-    so only level t can prune, and the labels are grouped by the pair
-    (t, w_{p^t}).
+    Filled by add, one partition at a time in enumeration order: labels[i]
+    has beta mask masks[i].  Each offered label's weights are read off its
+    mask, by the digit loop of padic.singular_weights; only a singular
+    label's mask is kept.  They read w_{p^i} = div(i) up to the level t <= k
+    where a weight digit first differs from a digit of n, and w_{p^t} < div(t)
+    there.  A class demands at most div(i) hooks at level i, so only level t
+    can prune, and the labels are grouped by the pair (t, w_{p^t}).
     """
 
-    __slots__ = ("p", "labels", "masks", "_groups", "_selectors")
+    __slots__ = ("p", "labels", "masks", "_ctx", "_groups", "_selectors")
 
     def __init__(self, n: int, p: int) -> None:
-        ctx = p_adic_context(n, p)
         self.p = p
-        labels: list[Partition] = []
-        masks: list[int] = []
+        self._ctx = p_adic_context(n, p)
+        self.labels: list[Partition] = []
+        self.masks: list[int] = []
         self._groups: dict[tuple[int, int], list[int]] = {}
-        # computed here, not through the memo of _beta_mask, so a sweep does
-        # not keep a second copy of every mask for the life of the process
-        beta_mask = _beta_mask.__wrapped__
-        for alpha in enumerate_partitions(n):
-            mask = beta_mask(alpha)
-            weights = _mask_singular_weights(mask, ctx)
-            if weights is not None:
-                self._groups.setdefault((len(weights), weights[-1]), []).append(len(labels))
-                labels.append(alpha)
-                masks.append(mask)
-        self.labels = tuple(labels)
-        self.masks = tuple(masks)
         self._selectors: dict[tuple[int, ...], bytearray] = {}
+
+    def add(self, alpha: Partition, mask: int) -> None:
+        """Keep alpha, the next partition in enumeration order, if it is p-singular."""
+        weights = _mask_singular_weights(mask, self._ctx)
+        if weights is not None:
+            self._groups.setdefault((len(weights), weights[-1]), []).append(len(self.labels))
+            self.labels.append(alpha)
+            self.masks.append(mask)
 
     def candidates(self, cycles: Partition) -> Iterable[int]:
         """Indices of the labels the bound leaves for this class, ascending.
@@ -137,14 +142,27 @@ class _SingularLabels:
         return compress(range(len(self.labels)), selector)
 
 
-@cache
+# One singular-label table per (n, p), built at most once per process: by the
+# walk of vanishing_flags, or by _singular_labels when it is asked first.
+_LABEL_TABLES: dict[tuple[int, int], _SingularLabels] = {}
+
+
 def _singular_labels(n: int, p: int) -> _SingularLabels:
-    return _SingularLabels(n, p)
+    table = _LABEL_TABLES.get((n, p))
+    if table is None:
+        table = _SingularLabels(n, p)
+        # computed here, not through the memo of _beta_mask, so a sweep does
+        # not keep a second copy of every mask for the life of the process
+        beta_mask = _beta_mask.__wrapped__
+        for alpha in enumerate_partitions(n):
+            table.add(alpha, beta_mask(alpha))
+        _LABEL_TABLES[n, p] = table
+    return table
 
 
 def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
     """All labels of S_n whose character degree is divisible by p."""
-    return _singular_labels(n, p).labels
+    return tuple(_singular_labels(n, p).labels)
 
 
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
@@ -187,17 +205,126 @@ def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
     return nonvanishing_witness(beta, ctx.p) is None
 
 
+def _walk(n: int) -> Iterator[tuple[Partition, int, int, int]]:
+    """(alpha, mask, c, h) for each partition alpha of n, in enumerate_partitions order.
+
+    mask is _beta_mask(alpha).  c and h pack polynomials into one int each,
+    in slots of S = n + 2 bits, coefficient k in slot k:
+      c = prod (1 + x^a) over the parts a: c_k counts the k-sets that an
+          element of cycle type alpha fixes;
+      h = prod (1 - (-x)^a), which is (1 + x) sum_k chi^(n-k,1^k)(alpha) x^k
+          (Macdonald 1995, ch. I).
+    The products are exact integers, so the slots matter only when values are
+    read: 0 <= c_k <= 2^len(alpha) <= 2^n, and a hook value is at most its
+    degree C(n - 1, k) < 2^n in size, so each fits its slot with a bit to
+    spare for a sign.  Consecutive partitions share a prefix, and the three
+    values for each prefix depth are kept on a stack, so each step pays only
+    for the parts after the prefix.  Bit a_i - i + n of the stacked beta bits
+    (0-indexed i) is bit a_i + m - 1 - i of the mask, shifted up by
+    n - m + 1 for m parts.
+    """
+    S = n + 2
+    # (1 + x)^r, the factor of r parts equal to 1 in both products
+    ones = [1]
+    for _ in range(n):
+        ones.append(ones[-1] + (ones[-1] << S))
+    cs, hs, bs = [1] * (n + 1), [1] * (n + 1), [0] * (n + 1)
+    part = [n] if n else []
+    top = 0  # the stack holds the values of part[:top]
+    while True:
+        m = len(part)
+        j = m
+        while j and part[j - 1] == 1:
+            j -= 1
+        c, h, bits = cs[top], hs[top], bs[top]
+        for i in range(top, j):
+            a = part[i]
+            c += c << (S * a)
+            h = h + (h << (S * a)) if a & 1 else h - (h << (S * a))
+            bits |= 1 << (a - i + n)
+            cs[i + 1], hs[i + 1], bs[i + 1] = c, h, bits
+        if j < m:
+            # the next step lowers a part before the trailing 1s, so their
+            # depths are never read back and need no stack entries
+            c *= ones[m - j]
+            h *= ones[m - j]
+            bits |= ((1 << (m - j)) - 1) << (n + 2 - m)
+        yield tuple(part), bits >> (n - m + 1), c, h
+        if not j:
+            return
+        # the step of enumerate_partitions: lower the last part above 1 and
+        # refill after it with parts no larger than it
+        i = j - 1
+        part[i] -= 1
+        cap = part[i]
+        full, rest = divmod(m - i, cap)
+        del part[i + 1 :]
+        part += [cap] * full
+        if rest:
+            part.append(rest)
+        top = i
+
+
+def _tier_masks(ctx: PAdicContext) -> tuple[int, int, int]:
+    """Slot masks of the p-singular two-row and hook labels, and the hook bias.
+
+    Slot k of the first mask is full when (n - k, k) is p-singular, and of
+    the second when (n - k, 1^k) is.  The bias puts 2^(S - 1) in every hook
+    slot, so adding it makes every signed slot value non-negative.
+    """
+    n = ctx.n
+    S = n + 2
+    full = (1 << S) - 1
+    beta_mask = _beta_mask.__wrapped__
+    two = hook = bias = 0
+    for k in range(n // 2 + 1):
+        label = tuple(x for x in (n - k, k) if x)
+        if _mask_singular_weights(beta_mask(label), ctx) is not None:
+            two |= full << (S * k)
+    for k in range(n):
+        if _mask_singular_weights(beta_mask((n - k,) + (1,) * k), ctx) is not None:
+            hook |= full << (S * k)
+        bias |= 1 << (S * k + S - 1)
+    return two, hook, bias
+
+
 @cache
 def vanishing_flags(n: int, p: int) -> Mapping[Partition, bool]:
     """Brute-force vanishing flag for every cycle type of S_n, in enumeration order.
 
-    The one per-class memo of a sweep: each (n, p) is scanned once per process
-    into a read-only mapping that every consumer shares.  The column scans of
-    one n reuse each other's values through the _char memo.
+    The one per-class memo of a sweep: each (n, p) is classified once per
+    process into a read-only mapping that every consumer shares.  One walk
+    over the partitions of n does two jobs.  Read as labels, they fill the
+    singular-label table of (n, p), unless it is already built.  Read as
+    classes, each is marked nonvanishing as soon as a p-singular two-row or
+    hook label is nonzero on it:
+      two-row  chi^(n-k,k) = c_k - c_(k-1), nonzero where c ^ (c << S) is;
+      hook     h / (1 + x), exact, holds chi^(n-k,1^k) in its slot k, and it
+               is nonzero where its biased slots differ from the bias.
+    Two-column labels add nothing: a conjugate label has the same
+    singularity, and its value differs only in sign.  Only the classes left
+    undecided, p-adic-type classes among them, go to nonvanishing_witness,
+    after the walk; its column scans reuse each other's values through the
+    _char memo.
     """
-    return MappingProxyType(
-        {b: nonvanishing_witness(b, p) is None for b in enumerate_partitions(n)}
-    )
+    ctx = p_adic_context(n, p)
+    two, hook, bias = _tier_masks(ctx)
+    S = n + 2
+    divisor = (1 << S) + 1
+    table = None if (n, p) in _LABEL_TABLES else _SingularLabels(n, p)
+    flags: dict[Partition, bool] = {}  # True: undecided by the tiers
+    for beta, mask, c, h in _walk(n):
+        if table is not None:
+            table.add(beta, mask)
+        flags[beta] = not (
+            (c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook
+        )
+    if table is not None:
+        _LABEL_TABLES[n, p] = table
+    for beta, undecided in flags.items():
+        if undecided:
+            flags[beta] = nonvanishing_witness(beta, p) is None
+    return MappingProxyType(flags)
 
 
 @cache
@@ -662,6 +789,6 @@ def conjecture_sweep(
 
 def clear_caches() -> None:
     """Drop the sweep-level memo tables."""
-    _singular_labels.cache_clear()
+    _LABEL_TABLES.clear()
     vanishing_flags.cache_clear()
     base_vanishing_table.cache_clear()

@@ -150,6 +150,114 @@ def test_one_flag_table_per_sweep():
     assert flags[(20,)] is False
 
 
+# ---------------------------------------------------------------------------
+# the closed-form tiers of the flag walk
+# ---------------------------------------------------------------------------
+
+
+def _two_row_values(n, c):
+    """chi^(n-k,k) = c_k - c_(k-1) for k <= n/2, read off the packed c."""
+    S = n + 2
+    coeff = [(c >> (S * k)) & ((1 << S) - 1) for k in range(n // 2 + 1)]
+    return [coeff[k] - (coeff[k - 1] if k else 0) for k in range(n // 2 + 1)]
+
+
+def _hook_values(n, h):
+    """chi^(n-k,1^k) for k < n: the signed slots of h / (1 + x), low slot first."""
+    if not n:
+        return []  # S_0 has no hook label, and h = 1
+    S = n + 2
+    quotient, remainder = divmod(h, (1 << S) + 1)
+    assert remainder == 0
+    values = []
+    for _ in range(n):
+        slot = quotient & ((1 << S) - 1)
+        if slot >= 1 << (S - 1):
+            slot -= 1 << S
+        values.append(slot)
+        quotient = (quotient - slot) >> S
+    assert quotient == 0
+    return values
+
+
+def _two_row(n, k):
+    return tuple(x for x in (n - k, k) if x)
+
+
+def _hook(n, k):
+    return (n - k,) + (1,) * k
+
+
+def test_closed_forms_match_character_values():
+    checked = 0
+    for n in range(17):
+        for beta, _, c, h in vanishing._walk(n):
+            for k, value in enumerate(_two_row_values(n, c)):
+                assert value == character_value(_two_row(n, k), beta), (n, k, beta)
+            for k, value in enumerate(_hook_values(n, h)):
+                assert value == character_value(_hook(n, k), beta), (n, k, beta)
+            checked += 1
+    assert checked == sum(1 for n in range(17) for _ in enumerate_partitions(n))
+
+
+def test_slots_hold_the_degrees_at_n_40():
+    # on 1^40 every value is a degree, the largest a slot ever holds; the
+    # degrees come from the hook length formula, not from the walk
+    *_, (beta, _, c, h) = vanishing._walk(40)
+    assert beta == (1,) * 40
+    assert _two_row_values(40, c) == [characters.degree(_two_row(40, k)) for k in range(21)]
+    assert _hook_values(40, h) == [characters.degree(_hook(40, k)) for k in range(40)]
+
+
+def test_walk_matches_enumeration_and_masks():
+    for n in range(31):
+        walked = [(alpha, mask) for alpha, mask, _, _ in vanishing._walk(n)]
+        assert [alpha for alpha, _ in walked] == list(enumerate_partitions(n))
+        assert all(mask == _beta_mask.__wrapped__(alpha) for alpha, mask in walked)
+
+
+def _table_state(table):
+    return table.labels, table.masks, table._groups
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tier_flags_match_the_column_scan(p):
+    # every class through nonvanishing_witness on fresh caches, against the
+    # walk; the label table the walk fills must equal the enumerated one
+    for n in range(25):
+        pvanish.clear_caches()
+        oracle = {beta: nonvanishing_witness(beta, p) is None for beta in enumerate_partitions(n)}
+        direct = _table_state(_singular_labels(n, p))
+        pvanish.clear_caches()
+        flags = vanishing_flags(n, p)
+        assert list(flags.items()) == list(oracle.items()), n
+        assert _table_state(_singular_labels(n, p)) == direct, n
+
+
+def test_flag_walk_fills_the_label_table_once(monkeypatch):
+    # flags first: the walk builds the table and the table needs no
+    # enumeration of its own; table first: the walk leaves it as it is
+    pvanish.clear_caches()
+    monkeypatch.setattr(vanishing, "enumerate_partitions", None)
+    flags = vanishing_flags(18, 3)
+    table = _singular_labels(18, 3)
+    assert table.labels == [a for a in flags if is_p_singular(a, p_adic_context(18, 3))]
+    monkeypatch.undo()
+    pvanish.clear_caches()
+    table = _singular_labels(18, 3)
+    vanishing_flags(18, 3)
+    assert _singular_labels(18, 3) is table
+
+
+def test_tiers_decide_almost_every_class():
+    # the two-row and hook tiers leave 3 of the 1,575 classes of S_24 to the
+    # column scan at p = 2, so the scan's memo stays small; a tier that is
+    # bypassed keeps the flags right but fills it with thousands of entries
+    pvanish.clear_caches()
+    vanishing_flags(24, 2)
+    assert characters._char.cache_info().currsize < 100
+
+
 def _assert_reported_witness(witness, beta, p):
     alpha, value = witness
     assert type(witness) is list and type(alpha) is list
