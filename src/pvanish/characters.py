@@ -22,10 +22,10 @@ positive, sorted and of the right size.
 multi_character_value extends the recursion to tuples of labels, where each
 cycle part may be peeled from any component.  That quantity equals the
 character induced from an outer tensor product over a Young subgroup, which
-induced_character_value computes by a different route (distributing cycle
-parts over the components with multinomial weights) for cross-checking.  It
-hands out the largest cycle lengths first and tries only the splits that fit
-what each component has left, so no split is built only to be thrown away.
+induced_character_values computes by a different route for cross-checking:
+it evaluates each component's column of nonzero values once with _char and
+walks the product of those columns, adding each combination of component
+classes, with its multinomial weight, to the class they merge into.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial, prod
+from itertools import product
+from math import factorial, prod
 
 from .partitions import (
     Partition,
@@ -117,68 +118,61 @@ def multi_character_value(labels: tuple[Partition, ...], beta: Partition) -> int
     return _multi(masks, tuple(sorted(beta, reverse=True)))
 
 
-def _bounded_splits(count: int, caps: tuple[int, ...]):
-    """Every (x_0, ..., x_{s-1}) with sum count and 0 <= x_i <= caps[i], in lex order."""
-    if len(caps) == 1:
-        if count <= caps[0]:
-            yield (count,)
-        return
-    rest = caps[1:]
-    # the first bin takes at least what the other bins cannot hold
-    for first in range(max(0, count - sum(rest)), min(count, caps[0]) + 1):
-        for tail in _bounded_splits(count - first, rest):
-            yield (first,) + tail
+def induced_character_values(labels: tuple[Partition, ...]) -> dict[Partition, int]:
+    """The character induced from a label tuple, on every class it does not vanish on.
+
+    Frobenius induction from the Young subgroup S_{|alpha_1|} x ... x
+    S_{|alpha_s|}: the value on lam sums, over every choice of one class mu_i
+    per component whose parts together make up lam, prod chi_i(mu_i) times
+    prod_k m_k(lam)! / prod_i prod_k m_k(mu_i)!, the number of ways to hand
+    the k-cycles of lam out to the components.  Each component's column,
+    its nonzero values chi_i(mu_i) with mu_i over enumerate_partitions, is
+    evaluated once with _char on the component's mask, and every combination
+    of column entries adds one term to its merged class.  Nothing here goes
+    through _multi, so this stays an independent check of it.
+    """
+    columns = [
+        [
+            (mu, chi, _multiplicity_factorials(mu))
+            for mu in enumerate_partitions(sum(alpha))
+            if (chi := _char(mask, mu))
+        ]
+        for alpha, mask in zip(labels, map(_beta_mask, labels))
+    ]
+    values: dict[Partition, int] = {}
+    for combination in product(*columns):
+        parts: list[int] = []
+        value = denominator = 1
+        for mu, chi, mu_factorials in combination:
+            parts += mu
+            value *= chi
+            denominator *= mu_factorials
+        lam = tuple(sorted(parts, reverse=True))
+        # the multinomials are integers, so the division is exact
+        values[lam] = values.get(lam, 0) + _multiplicity_factorials(lam) // denominator * value
+    return values
+
+
+def _multiplicity_factorials(beta: Partition) -> int:
+    """prod_k m_k(beta)! for sorted beta: the j-th occurrence of a part multiplies by j."""
+    out = run = 1
+    for a, b in zip(beta, beta[1:]):
+        run = run + 1 if a == b else 1
+        out *= run
+    return out
 
 
 def induced_character_value(labels: tuple[Partition, ...], beta: Partition) -> int:
     """Same quantity as multi_character_value, by the induction formula.
 
-    Sum over all ways of distributing the multiset of cycle parts among the
-    components so sizes match, weighting each cycle length by the multinomial
-    coefficient of its multiplicity split.  Cycle lengths are handed out
-    largest first, and a component with r cells left gets at most r // k
-    cycles of length k, so only splits that fit are tried.  Each component's
-    parts then arrive in descending order, and every leaf evaluates the
-    components with _char directly.
+    Looks beta up in induced_character_values(labels), which builds the
+    whole induced column; a class missing from it has value 0.
     """
-    sizes = tuple(sum(l) for l in labels)
-    if sum(sizes) != sum(beta):
+    if sum(sum(l) for l in labels) != sum(beta):
         raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
-    masks = tuple(_beta_mask(l) for l in labels)
-    mult = sorted(Counter(beta).items(), reverse=True)
-
-    total = 0
-
-    def distribute(idx: int, remaining: tuple[int, ...], assigned: tuple, weight: int):
-        nonlocal total
-        if idx == len(mult):
-            # each component holds at most its size and the sizes add up, so
-            # every component is filled exactly
-            value = weight
-            for mask, parts in zip(masks, assigned):
-                value *= _char(mask, parts)
-                if value == 0:
-                    return
-            total += value
-            return
-        k, count = mult[idx]
-        for split in _bounded_splits(count, tuple(r // k for r in remaining)):
-            w = weight
-            left = count
-            for c in split:
-                w *= comb(left, c)
-                left -= c
-            distribute(
-                idx + 1,
-                tuple(r - c * k for r, c in zip(remaining, split)),
-                tuple(parts + (k,) * c for parts, c in zip(assigned, split)),
-                w,
-            )
-
-    distribute(0, sizes, ((),) * len(labels), 1)
-    return total
+    return induced_character_values(labels).get(tuple(sorted(beta, reverse=True)), 0)
 
 
 def factored_character_value(

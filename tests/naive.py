@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained (no package
 imports): hook lengths by direct cell counting, rim-hook removal by the
 row-sliding rule on row lengths, character values by the plain
-Murnaghan-Nakayama recursion over those removals, partition counting by the
+Murnaghan-Nakayama recursion over those removals, induced characters by
+handing out each cycle to a component, partition counting by the
 pentagonal recurrence, the r-sign by simulating bead moves one at a time,
 the r-weight both from the abacus runners and by counting hook lengths, and
 hardcoded small character tables from standard references.
@@ -84,6 +85,40 @@ def naive_character_value(alpha: tuple[int, ...], cycles: tuple[int, ...]) -> in
         (-1) ** leg * naive_character_value(res, cycles[1:])
         for _, _, leg, res in naive_rim_removals(alpha, cycles[0])
     )
+
+
+def naive_induced_value(labels: tuple[tuple[int, ...], ...], cycles: tuple[int, ...]) -> int:
+    """Induced character of a label tuple, one labelled cycle at a time.
+
+    Every cycle of the class is its own object: each assignment of the cycles
+    to components whose sizes then match adds the product of
+    naive_character_value over the components, each on the cycles it got.
+    Equal cycle lengths are not merged, so no multinomial weight is needed.
+    A cycle is never given to a component it would overfill, since no
+    assignment that does so can match.
+    """
+    total = 0
+
+    def assign(idx: int, left: list[int], groups: list[tuple[int, ...]]) -> None:
+        nonlocal total
+        if idx == len(cycles):
+            if not any(left):
+                value = 1
+                for alpha, group in zip(labels, groups):
+                    value *= naive_character_value(alpha, group)
+                total += value
+            return
+        c = cycles[idx]
+        for i in range(len(labels)):
+            if left[i] >= c:
+                assign(
+                    idx + 1,
+                    left[:i] + [left[i] - c] + left[i + 1 :],
+                    groups[:i] + [groups[i] + (c,)] + groups[i + 1 :],
+                )
+
+    assign(0, [sum(alpha) for alpha in labels], [()] * len(labels))
+    return total
 
 
 def naive_removal_sign(beta: tuple[int, ...], r: int, *, lowest_first: bool = False) -> int:

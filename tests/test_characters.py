@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from itertools import product
 from math import factorial
 
@@ -11,18 +12,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import partition_pairs_st, partitions_st
-from naive import S4_CLASSES, S4_TABLE, S5_CLASSES, S5_TABLE, naive_character_value
+from naive import (
+    S4_CLASSES,
+    S4_TABLE,
+    S5_CLASSES,
+    S5_TABLE,
+    naive_character_value,
+    naive_induced_value,
+)
 import pvanish
 from pvanish import characters, verify
 from pvanish.characters import (
     TABLE_GUARD,
-    _bounded_splits,
     centralizer_order,
     character_table,
     character_value,
     degree,
     factored_character_value,
     induced_character_value,
+    induced_character_values,
     merged_cycle_type,
     multi_character_value,
 )
@@ -201,17 +209,79 @@ def test_conjugation_twist_suite_small():
     assert result.passed and result.checks > 0
 
 
-def test_conjugation_twist_suite_flags_flipped_cell(monkeypatch):
-    def flipped(n, *, limit):
-        table = character_table(n, limit=limit)
-        if n != 4:
-            return table
-        # the value of (3,1) on the identity class, 3, turned into -3
-        values = [list(row) for row in table.values]
-        values[table.labels.index((3, 1))][table.labels.index((1, 1, 1, 1))] *= -1
-        return characters.CharacterTable(n, table.labels, tuple(map(tuple, values)))
+def _flipped_table(n, *, limit):
+    """character_table, except that at n = 4 the value of (3,1) on the identity, 3, is -3."""
+    table = character_table(n, limit=limit)
+    if n != 4:
+        return table
+    values = [list(row) for row in table.values]
+    values[table.labels.index((3, 1))][table.labels.index((1, 1, 1, 1))] *= -1
+    return characters.CharacterTable(n, table.labels, tuple(map(tuple, values)))
 
-    monkeypatch.setattr(verify, "character_table", flipped)
+
+def test_orthogonality_suite_flags_flipped_cell(monkeypatch):
+    monkeypatch.setattr(verify, "character_table", _flipped_table)
+    result = orthogonality_suite(5)
+    assert result.checks == 2 * sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
+    # the identity class has size 1, so row (3,1) against row a moves by
+    # -6 * deg(a), and column (1^4) against column b by -6 * chi^(3,1)(b);
+    # the squared cell leaves both diagonals alone, and chi^(3,1)(3,1) = 0
+    # leaves that column pair alone
+    one = [1, 1, 1, 1]
+    assert result.violations == [
+        {"kind": "row", "n": 4, "a1": [4], "a2": [3, 1], "got": -6},
+        {"kind": "row", "n": 4, "a1": [3, 1], "a2": [4], "got": -6},
+        {"kind": "row", "n": 4, "a1": [3, 1], "a2": [2, 2], "got": -12},
+        {"kind": "row", "n": 4, "a1": [3, 1], "a2": [2, 1, 1], "got": -18},
+        {"kind": "row", "n": 4, "a1": [3, 1], "a2": one, "got": -6},
+        {"kind": "row", "n": 4, "a1": [2, 2], "a2": [3, 1], "got": -12},
+        {"kind": "row", "n": 4, "a1": [2, 1, 1], "a2": [3, 1], "got": -18},
+        {"kind": "row", "n": 4, "a1": one, "a2": [3, 1], "got": -6},
+        {"kind": "column", "n": 4, "b1": [4], "b2": one, "got": 6},
+        {"kind": "column", "n": 4, "b1": [2, 2], "b2": one, "got": 6},
+        {"kind": "column", "n": 4, "b1": [2, 1, 1], "b2": one, "got": -6},
+        {"kind": "column", "n": 4, "b1": one, "b2": [4], "got": 6},
+        {"kind": "column", "n": 4, "b1": one, "b2": [2, 2], "got": 6},
+        {"kind": "column", "n": 4, "b1": one, "b2": [2, 1, 1], "got": -6},
+    ]
+
+
+_signed = st.integers(-(2**200), 2**200)
+
+
+@st.composite
+def _gram_cases(draw):
+    """Signed matrices left, right of one shape (some rows all zero) and a diagonal."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.one_of(st.just([0] * width), st.lists(_signed, min_size=width, max_size=width))
+    left = draw(st.lists(row, min_size=rows, max_size=rows))
+    right = draw(st.lists(row, min_size=rows, max_size=rows))
+    true = [sum(a * b for a, b in zip(left[i], right[i])) for i in range(rows)]
+    # the true diagonal, or arbitrary values that mostly miss it
+    diagonal = draw(st.one_of(st.just(true), st.lists(_signed, min_size=rows, max_size=rows)))
+    return left, right, diagonal
+
+
+@given(_gram_cases())
+def test_packed_gram_rows_match_elementwise_sums(case):
+    left, right, diagonal = case
+    expected = [
+        (i, j, got)
+        for i in range(len(left))
+        for j in range(len(right))
+        if (got := sum(a * b for a, b in zip(left[i], right[j]))) != (diagonal[i] if i == j else 0)
+    ]
+    assert list(verify._gram_mismatches(left, right, diagonal)) == expected
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 2**200, -(2**200)])
+def test_packed_gram_one_by_one(value):
+    assert list(verify._gram_mismatches([[value]], [[value]], [value * value])) == []
+    assert list(verify._gram_mismatches([[value]], [[1]], [value + 1])) == [(0, 0, value)]
+
+
+def test_conjugation_twist_suite_flags_flipped_cell(monkeypatch):
+    monkeypatch.setattr(verify, "character_table", _flipped_table)
     result = conjugation_twist_suite(5)
     assert result.checks == sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
     # the cell is read once from its own row and once from the conjugate's
@@ -265,6 +335,48 @@ def test_factorization_example_by_hand():
             )
 
 
+def test_factorization_suite_flags_wrong_sign(monkeypatch):
+    def flipped(alpha, r):
+        dec = r_decompose(alpha, r)
+        if (alpha, r) != ((3, 1), 2):
+            return dec
+        return replace(dec, sign=-dec.sign)
+
+    monkeypatch.setattr(verify, "r_decompose", flipped)
+    result = factorization_suite(5)
+    assert result.checks == sum(
+        len(list(enumerate_partitions(w))) * len(list(enumerate_partitions(n - r * w)))
+        for n in range(6)
+        for alpha in enumerate_partitions(n)
+        for r in (2, 3, 4, 5)
+        for w in [r_decompose(alpha, r).weight]
+    )
+    # (3,1) has empty 2-core and 2-weight 2, and its value is -1 on (4) and on (2,2)
+    assert result.violations == [
+        {"n": 4, "alpha": [3, 1], "r": 2, "gamma": [2], "lam": [], "direct": -1, "split": 1},
+        {"n": 4, "alpha": [3, 1], "r": 2, "gamma": [1, 1], "lam": [], "direct": -1, "split": 1},
+    ]
+
+
+@st.composite
+def _factorization_cases(draw):
+    """(alpha, r, gamma, lam) with gamma of the r-weight of alpha and lam of the rest."""
+    alpha = draw(partitions_st(max_n=12))
+    r = draw(st.integers(2, 5))
+    weight = r_decompose(alpha, r).weight
+    gamma = draw(st.sampled_from(list(enumerate_partitions(weight))))
+    lam = draw(st.sampled_from(list(enumerate_partitions(sum(alpha) - r * weight))))
+    return alpha, r, gamma, lam
+
+
+@given(_factorization_cases())
+def test_factored_value_is_the_value_on_the_merged_class(case):
+    alpha, r, gamma, lam = case
+    assert factored_character_value(alpha, r, gamma, lam) == character_value(
+        alpha, merged_cycle_type(r, gamma, lam)
+    )
+
+
 def test_merged_cycle_type():
     assert merged_cycle_type(2, (2, 1), (3, 1)) == (4, 3, 2, 1)
     assert merged_cycle_type(3, (), (1, 1)) == (1, 1)
@@ -312,18 +424,20 @@ def test_multi_value_rejects_size_mismatch():
         induced_character_value(((2,), (1,)), (2,))
 
 
-@pytest.mark.parametrize("bins", [1, 2, 3])
-def test_bounded_splits_are_the_fitting_compositions(bins):
-    for count in range(7):
-        for caps in product(range(7), repeat=bins):
-            # every composition of count into bins parts, in lex order, kept
-            # when each part is within its cap
-            fitting = [
-                x
-                for x in product(range(count + 1), repeat=bins)
-                if sum(x) == count and all(c <= cap for c, cap in zip(x, caps))
-            ]
-            assert list(_bounded_splits(count, caps)) == fitting, (count, caps)
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_induced_column_matches_naive_oracle(components):
+    for total in range(7):
+        classes = list(enumerate_partitions(total))
+        for sizes in product(range(total + 1), repeat=components):
+            if sum(sizes) != total:
+                continue
+            for labels in product(*map(enumerate_partitions, sizes)):
+                column = induced_character_values(labels)
+                assert set(column) <= set(classes), labels
+                for lam in classes:
+                    expected = naive_induced_value(labels, lam)
+                    assert column.get(lam, 0) == expected, (labels, lam)
+                    assert multi_character_value(labels, lam) == expected, (labels, lam)
 
 
 def test_induced_value_rejects_non_positive_cycles():

@@ -371,9 +371,10 @@ def test_json_output_matches_reference_digest(capsys, command):
 # two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime; of
 # audited sweeps at a size and a prime the references do not cover (k = 2 at
 # p = 5) and at n = 36 for p = 2, 3, with a p = 7 hunt at n = 40, sizes where
-# the closed-form tiers decide almost every class; and of the two verify
-# suites that read the brute-force flag table, with their wall-clock
-# "elapsed" zeroed as in the references
+# the closed-form tiers decide almost every class; of the two verify suites
+# that read the brute-force flag table; and of multichar and factorization at
+# their `verify --suite all` bounds, which the references run lower; every
+# verify output with its wall-clock "elapsed" zeroed as in the references
 PINNED_DIGESTS = {
     "vanishing --p 5 --n 35 --limit 35 --check-conjecture --json": (
         "cb9483e1271a545c23562d5477bbb921d593af4f7632bb6a1f9e20698b8d48e0"
@@ -401,6 +402,12 @@ PINNED_DIGESTS = {
     ),
     "verify --suite split-classifier --p 2,3 --max-n 16 --json": (
         "10597373c31c76b5ca9ff804fcca0dcdc3e7d2f27ccbcd3086774cc096b6685d"
+    ),
+    "verify --suite multichar --max-n 8 --json": (
+        "bccf7011452fe363e1669a9be59b418f0b5edc2a303711003e1c93a2cb2fd803"
+    ),
+    "verify --suite factorization --max-n 14 --json": (
+        "ae30b726071a72e53c16b231ebd04828ae7a03ce3ed52b47b8347c55d6e79aa0"
     ),
 }
 
