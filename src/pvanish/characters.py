@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -201,8 +201,7 @@ def merged_cycle_type(r: int, gamma: Partition, lam: Partition) -> Partition:
     return tuple(sorted([r * g for g in gamma] + list(lam), reverse=True))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Full character table of S_n, rows and columns in enumeration order."""
 
     n: int

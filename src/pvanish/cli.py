@@ -250,6 +250,8 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    if args.p and args.suite != "all" and not verify_mod.SUITES[args.suite][0]:
+        raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
     results = []
     for name in names:
         default_primes, default_bound, runner = verify_mod.SUITES[name]

@@ -9,8 +9,8 @@ i sum to a_i p^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import characters
 from .partitions import (
@@ -34,8 +34,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PAdicContext:
+class PAdicContext(NamedTuple):
     """n together with its base-p digits (a_0, ..., a_k)."""
 
     p: int
@@ -99,8 +98,7 @@ def valuation(x: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class PAdicTypeWitness:
+class PAdicTypeWitness(NamedTuple):
     """Parts grouped by exact p-valuation, each group divided by its p-power.
 
     groups[i] collects c / p^i over the parts c with valuation exactly i.

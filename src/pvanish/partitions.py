@@ -17,9 +17,8 @@ the sum of their popcounts over L = r, 2r, ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 BetaSet = tuple[int, ...]
@@ -138,8 +137,7 @@ def from_beta_set(beta: Iterable[int]) -> Partition:
     return tuple(c for c in parts if c > 0)
 
 
-@dataclass(frozen=True)
-class HookRemoval:
+class HookRemoval(NamedTuple):
     """One way of removing a rim hook of a given length.
 
     row/col locate the hook's corner node (1-indexed), leg is the leg
@@ -243,8 +241,7 @@ def can_remove_sequence(alpha: Partition, lengths: Iterable[int]) -> bool:
     return _strippable(_beta_mask(alpha), seq)
 
 
-@dataclass(frozen=True)
-class RDecomposition:
+class RDecomposition(NamedTuple):
     """r-core, r-quotient, r-weight and r-sign of a partition.
 
     quotient has exactly r components; component j is read off runner j of

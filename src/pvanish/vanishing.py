@@ -35,11 +35,10 @@ counterexamples and only ever report "none found".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .characters import _char
 from .padic import (
@@ -461,16 +460,18 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
     return _suffix_reduction_holds(beta, ctx.p, m, vanishing_flags(ctx.n, ctx.p)[beta])
 
 
-@dataclass
 class StructureAudit:
     """Outcome of auditing the necessary conditions over one (n, p) sweep."""
 
-    n: int
-    p: int
-    vanishing_count: int
-    checked: dict[str, int] = field(default_factory=dict)
-    violations: list[dict] = field(default_factory=list)
-    informational: list[dict] = field(default_factory=list)
+    __slots__ = ("n", "p", "vanishing_count", "checked", "violations", "informational")
+
+    def __init__(self, n: int, p: int, vanishing_count: int) -> None:
+        self.n = n
+        self.p = p
+        self.vanishing_count = vanishing_count
+        self.checked: dict[str, int] = {}
+        self.violations: list[dict] = []
+        self.informational: list[dict] = []
 
     @property
     def passed(self) -> bool:
@@ -590,15 +591,13 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VanishEntry:
+class VanishEntry(NamedTuple):
     parts: Partition
     p_adic_type: bool
     split_i: int | None
 
 
-@dataclass
-class VanishReport:
+class VanishReport(NamedTuple):
     n: int
     p: int
     vanishing: list[VanishEntry]
@@ -683,8 +682,7 @@ def list_p_vanishing(
     )
 
 
-@dataclass
-class ConjectureScan:
+class ConjectureScan(NamedTuple):
     """Counterexample hunt at a single n for p >= 5.
 
     type_mismatches: vanishing cycle types that do not have p-adic type
@@ -752,8 +750,7 @@ def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> Conject
     return scan
 
 
-@dataclass
-class ConjectureSweep:
+class ConjectureSweep(NamedTuple):
     p: int
     scans: list[ConjectureScan]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from math import factorial
 from operator import lshift, mul
 
@@ -33,12 +32,16 @@ from .vanishing import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    violations: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("name", "checks", "violations", "elapsed")
+
+    def __init__(
+        self, name: str, checks: int = 0, violations: list[dict] | None = None, elapsed: float = 0.0
+    ) -> None:
+        self.name = name
+        self.checks = checks
+        self.violations = [] if violations is None else violations
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 from itertools import product
 from math import factorial
 
@@ -340,7 +339,7 @@ def test_factorization_suite_flags_wrong_sign(monkeypatch):
         dec = r_decompose(alpha, r)
         if (alpha, r) != ((3, 1), 2):
             return dec
-        return replace(dec, sign=-dec.sign)
+        return dec._replace(sign=-dec.sign)
 
     monkeypatch.setattr(verify, "r_decompose", flipped)
     result = factorization_suite(5)

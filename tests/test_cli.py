@@ -314,6 +314,16 @@ def test_verify_zero_checks_exit_2(capsys, argv):
     assert "pass" not in out
 
 
+@pytest.mark.parametrize(
+    "suite", [name for name, (primes, _, _) in verify.SUITES.items() if not primes]
+)
+def test_verify_primeless_suite_rejects_p(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "2")
+    assert code == 2
+    assert f"suite {suite!r} takes no primes" in err
+    assert out == ""
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     # the registry runner reads the suite's module global when it runs
     def fake_suite(primes, max_n):
