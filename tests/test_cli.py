@@ -419,6 +419,9 @@ PINNED_DIGESTS = {
     "verify --suite factorization --max-n 14 --json": (
         "ae30b726071a72e53c16b231ebd04828ae7a03ce3ed52b47b8347c55d6e79aa0"
     ),
+    "decompose --alpha 1^10000 --r 9999 --json": (
+        "bdafaf0c031eb718e4b73d528432999c8b8ea21470d37ffb3070d5916ffc12a8"
+    ),
 }
 
 

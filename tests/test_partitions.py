@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -357,6 +359,22 @@ def test_compose_rejects_bad_input():
         from_core_and_quotient((2,), [(), ()], 2)  # (2) has a 2-hook
     with pytest.raises(ValueError):
         from_core_and_quotient((2, 1), [()], 2)  # wrong component count
+
+
+# SHA-256 of the newline-joined repr(r_decompose(alpha, r)) over every partition
+# with n <= 14, in enumerate_partitions order, and r = 1 .. n + 2: it pins the
+# quotient and sign themselves, not only their invariants and the round trip
+R_DECOMPOSE_DIGEST = "f06386bdf73ca04e5b97414590894a5866f3566ec073dfbbc20653856d4bd6ca"
+
+
+def test_r_decompose_matches_pinned_digest():
+    reprs = "\n".join(
+        repr(r_decompose(alpha, r))
+        for n in range(15)
+        for alpha in enumerate_partitions(n)
+        for r in range(1, n + 3)
+    )
+    assert hashlib.sha256(reprs.encode()).hexdigest() == R_DECOMPOSE_DIGEST
 
 
 def test_decompose_known_values():
