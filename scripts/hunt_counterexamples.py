@@ -22,6 +22,8 @@ def main() -> int:
     parser.add_argument("--p", default="5,7", help='comma list of primes >= 5, e.g. "5,7,11"')
     parser.add_argument("--max-n", type=int, default=14, help="inclusive size bound")
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error("--max-n must be >= 0: a negative bound scans nothing")
 
     primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
     if any(p < 5 for p in primes):

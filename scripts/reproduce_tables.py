@@ -21,6 +21,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=12, help="inclusive bound per prime")
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error("--max-n must be >= 0: a negative bound scans nothing")
 
     disagreements = 0
     for p in (2, 3):

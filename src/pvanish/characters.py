@@ -114,6 +114,8 @@ def multi_character_value(labels: tuple[Partition, ...], beta: Partition) -> int
     """
     if sum(sum(l) for l in labels) != sum(beta):
         raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
+    if any(c < 1 for c in beta):
+        raise ValueError(f"cycle type parts must be positive: {beta}")
     masks = tuple(_beta_mask(l) for l in labels)
     return _multi(masks, tuple(sorted(beta, reverse=True)))
 
@@ -240,7 +242,7 @@ def character_table(n: int, *, limit: int = TABLE_GUARD) -> CharacterTable:
     labels = tuple(enumerate_partitions(n))
     values = tuple(
         tuple(_char(mask, b) for b in labels)
-        for mask in map(_beta_mask.__wrapped__, labels)
+        for mask in map(_beta_mask, labels)
     )
     return CharacterTable(n=n, labels=labels, values=values)
 

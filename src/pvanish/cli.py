@@ -252,16 +252,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     if args.p and args.suite != "all" and not verify_mod.SUITES[args.suite][0]:
         raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
-    results = []
+    # under "all", a suite with 0 checks (none of its primes given) is only
+    # named as skipped; it is an error when no suite ran a check
+    results, skipped = [], []
     for name in names:
         default_primes, default_bound, runner = verify_mod.SUITES[name]
         bound = default_bound if args.max_n is None else args.max_n
         result = runner(list(args.p or default_primes), bound)
-        if not result.checks:
-            raise ValueError(
-                f"suite {name!r} ran 0 checks with these options; nothing was verified"
-            )
-        results.append(result)
+        (results if result.checks else skipped).append(result)
+    if not results:
+        raise ValueError(
+            f"suite {args.suite!r} ran 0 checks with these options; nothing was verified"
+        )
 
     width = max(len(r.name) for r in results)
     lines = []
@@ -275,6 +277,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"  witness: {json.dumps(item)}")
         if len(r.violations) > 10:
             lines.append(f"  ... and {len(r.violations) - 10} more")
+    if skipped:
+        lines.append("skipped, 0 checks with these options: " + ", ".join(r.name for r in skipped))
     failed = [r for r in results if not r.passed]
     lines.append(
         f"{len(results)} suite(s), {sum(r.checks for r in results)} checks, "
@@ -286,6 +290,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "suites": [r.to_json_dict() for r in results],
         "failed": len(failed),
     }
+    if skipped:
+        payload["skipped"] = [r.name for r in skipped]
     _emit(payload, lines, args.json)
     return 1 if failed else 0
 

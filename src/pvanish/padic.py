@@ -205,10 +205,9 @@ def singular_weights(alpha: Partition, ctx: PAdicContext) -> tuple[int, ...] | N
     test stops at the first i that differs, having read the p-, p^2-, ...,
     p^(i+1)-weights; those are returned in that order.  alpha must be a
     partition of ctx.n.  No digit differs exactly when the degree is prime to
-    p, and then the result is None.  The weights are read off one beta mask,
-    built outside the memo of _beta_mask.
+    p, and then the result is None.  The weights are read off one beta mask.
     """
-    return _mask_singular_weights(_beta_mask.__wrapped__(alpha), ctx)
+    return _mask_singular_weights(_beta_mask(alpha), ctx)
 
 
 SINGULARITY_METHODS = ("b_invariants", "hooks", "character", "degree")

@@ -2,17 +2,16 @@
 
 A partition is stored canonically as a tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0 and displays as "(0)".
-Everything here treats partitions as immutable values, so results can be
-memoized and shared freely across the queries of one process.
 
-Rim-hook removal is done on beta-sets stored as int bitmasks (Maya diagrams,
-James & Kerber 1981, section 2.7): a partition with m parts has a bead at bit
-alpha_i + m - 1 - i for each part.  Removing a hook of length L moves a bead
-from x to an empty position x - L >= 0, which is two bit flips; the leg length
-of the removed hook is the popcount of the bits strictly between x - L and x.
+All bead work runs on one representation, the beta mask, built on demand and
+never memoized: an int bitmask (Maya diagram, James & Kerber 1981, section
+2.7) with a bead at bit alpha_i + m - 1 - i for each of the m parts.  Removing
+a hook of length L moves a bead from x to an empty position x - L >= 0, which
+is two bit flips; its leg length is the popcount of the bits strictly between.
 So the hooks of length L are the beads of mask & (~mask << L), and the
-r-weight, the number of hooks whose length r divides (section 2.7 there), is
-the sum of their popcounts over L = r, 2r, ...
+r-weight, the number of hooks whose length r divides, is the sum of their
+popcounts over L = r, 2r, ...  The abacus with r runners is the mask read
+modulo r, and the r-core comes from sliding each bead down its runner.
 """
 
 from __future__ import annotations
@@ -151,7 +150,6 @@ class HookRemoval(NamedTuple):
     result: Partition
 
 
-@cache
 def _beta_mask(alpha: Partition) -> int:
     """The beta-set of display size len(alpha) as a bitmask (Maya diagram).
 
@@ -160,17 +158,30 @@ def _beta_mask(alpha: Partition) -> int:
     that is not a partition raises ValueError: its mask would be another
     label's or carry a bead at bit 0, giving silently wrong values.
     """
-    if alpha and (alpha[-1] < 1 or sorted(alpha, reverse=True) != list(alpha)):
-        raise ValueError(f"label parts must be positive and weakly decreasing: {alpha}")
     mask = 0
+    below = 1  # the part after this one, or 1 past the last part
     for j, c in enumerate(reversed(alpha)):  # j = m - 1 - i
+        if c < below:
+            raise ValueError(f"label parts must be positive and weakly decreasing: {alpha}")
+        below = c
         mask |= 1 << (c + j)
     return mask
 
 
+def _display(alpha: Partition, size: int) -> int:
+    """The beta mask of alpha with size >= len(alpha) beads: each extra bead goes below."""
+    pad = size - len(alpha)
+    return _beta_mask(alpha) << pad | ((1 << pad) - 1)
+
+
+def _beads(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, in one pass over its binary digits."""
+    return (x for x, digit in enumerate(reversed(bin(mask))) if digit == "1")
+
+
 def _mask_partition(mask: int) -> Partition:
-    """Inverse of _beta_mask."""
-    return from_beta_set(x for x in range(mask.bit_length()) if mask >> x & 1)
+    """Inverse of _beta_mask, for a mask of any display size."""
+    return from_beta_set(_beads(mask))
 
 
 def _rim_moves(mask: int, k: int) -> Iterator[tuple[int, int]]:
@@ -257,16 +268,6 @@ class RDecomposition(NamedTuple):
     sign: int
 
 
-def _runner_levels(beta: BetaSet, r: int) -> list[list[int]]:
-    """Bead levels per runner: bead at position x sits on runner x % r, level x // r."""
-    runners: list[list[int]] = [[] for _ in range(r)]
-    for x in beta:
-        runners[x % r].append(x // r)
-    for lev in runners:
-        lev.sort()
-    return runners
-
-
 def _mask_weight(mask: int, r: int) -> int:
     """The r-weight of the partition with this beta mask: its hooks of length r, 2r, ...
 
@@ -286,7 +287,7 @@ def r_weight(alpha: Partition, r: int) -> int:
 
     It equals the number of hooks of alpha whose length r divides (James &
     Kerber 1981, 2.7), counted by popcount on the beta mask.  It builds no
-    core, quotient or sign and caches nothing, not even the mask.
+    core, quotient or sign.
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
@@ -295,52 +296,41 @@ def r_weight(alpha: Partition, r: int) -> int:
         return 0
     if r == 1:
         return n
-    return _mask_weight(_beta_mask.__wrapped__(alpha), r)
+    return _mask_weight(_beta_mask(alpha), r)
 
 
-@cache
 def r_decompose(alpha: Partition, r: int) -> RDecomposition:
     """Decompose a partition into its r-core, r-quotient, r-weight and r-sign.
 
-    The beta-set is displayed at the least size that is a multiple of r, and
-    quotient component j is read off runner j (bead positions congruent to
-    j mod r, with levels giving the component's beta-set).
+    The beta mask is displayed at the least size that is a multiple of r.
+    Bead x sits on runner x % r at level x // r, and quotient component j
+    is the partition whose beta mask is runner j's levels.
 
-    Removing the r-hooks slides each bead down its runner and never past
-    another bead of the same runner, so the bead of rank v on runner j ends
-    at j + r*v.  Each move's leg length counts the beads it jumps over, so
-    the sign is the parity of the inversions of that map: the parity of the
-    permutation that sorts the end positions back into decreasing order,
-    which is m minus its number of cycles.
+    The beads are walked from the lowest up, and each slides down its runner
+    to the lowest slot not yet taken: x to y is (x - y) / r removals of an
+    r-hook, and their legs add up to the beads strictly between y and x,
+    all of which have already slid.  The slid beads form the core.
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
-    m = r * ((len(alpha) + r - 1) // r)
-    beta = beta_set(alpha, m)
-    runners = _runner_levels(beta, r)
-    weight = sum(lev - v for levels in runners for v, lev in enumerate(levels))
-    slot = {
-        j + r * lev: j + r * v
-        for j, levels in enumerate(runners)
-        for v, lev in enumerate(levels)
-    }
-    ends = [slot[x] for x in beta]
-    order = sorted(range(m), key=ends.__getitem__, reverse=True)
-    seen = bytearray(m)
-    cycles = 0
-    for start in range(m):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = 1
-                i = order[i]
+    mask = _display(alpha, len(alpha) + -len(alpha) % r)
+    runners = [0] * r  # level mask of each runner
+    slid = [0] * r  # beads of each runner already slid down
+    core = weight = legs = 0
+    for x in _beads(mask):
+        level, j = divmod(x, r)
+        runners[j] |= 1 << level
+        y = j + r * slid[j]
+        slid[j] += 1
+        weight += (x - y) // r
+        legs += (core >> (y + 1)).bit_count()
+        core |= 1 << y
     return RDecomposition(
         r=r,
-        core=from_beta_set(ends),
-        quotient=tuple(from_beta_set(levels) for levels in runners),
+        core=_mask_partition(core),
+        quotient=tuple(map(_mask_partition, runners)),
         weight=weight,
-        sign=-1 if (m - cycles) % 2 else 1,
+        sign=-1 if legs & 1 else 1,
     )
 
 
@@ -357,17 +347,16 @@ def from_core_and_quotient(core: Partition, quotient: Iterable[Partition], r: in
         raise ValueError(f"quotient needs exactly {r} components, got {len(quot)}")
     if r_weight(core, r) != 0:
         raise ValueError(f"{core} is not an {r}-core")
-    s = (len(core) + r - 1) // r
-    runners = _runner_levels(beta_set(core, r * s), r)
+    counts = [0] * r
+    for x in _beads(_display(core, len(core) + -len(core) % r)):
+        counts[x % r] += 1
     # each +r to the display size adds one bead at the bottom of every runner
-    grow = max((len(q) - len(runners[j]) for j, q in enumerate(quot)), default=0)
-    if grow > 0:
-        s += grow
-        runners = _runner_levels(beta_set(core, r * s), r)
-    beads = []
-    for j, q in enumerate(quot):
-        beads.extend(j + r * lev for lev in beta_set(q, len(runners[j])))
-    return from_beta_set(beads)
+    grow = max(0, max(len(q) - k for q, k in zip(quot, counts)))
+    mask = 0
+    for j, (q, k) in enumerate(zip(quot, counts)):
+        for level in _beads(_display(q, k + grow)):
+            mask |= 1 << (j + r * level)
+    return _mask_partition(mask)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -396,7 +385,5 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 def clear_caches() -> None:
-    """Drop the process-wide memo tables (beta masks, hook stripping, decompositions)."""
-    _beta_mask.cache_clear()
+    """Drop the process-wide memo table of hook stripping."""
     _strippable.cache_clear()
-    r_decompose.cache_clear()

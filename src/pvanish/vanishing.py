@@ -150,11 +150,8 @@ def _singular_labels(n: int, p: int) -> _SingularLabels:
     table = _LABEL_TABLES.get((n, p))
     if table is None:
         table = _SingularLabels(n, p)
-        # computed here, not through the memo of _beta_mask, so a sweep does
-        # not keep a second copy of every mask for the life of the process
-        beta_mask = _beta_mask.__wrapped__
         for alpha in enumerate_partitions(n):
-            table.add(alpha, beta_mask(alpha))
+            table.add(alpha, _beta_mask(alpha))
         _LABEL_TABLES[n, p] = table
     return table
 
@@ -274,14 +271,13 @@ def _tier_masks(ctx: PAdicContext) -> tuple[int, int, int]:
     n = ctx.n
     S = n + 2
     full = (1 << S) - 1
-    beta_mask = _beta_mask.__wrapped__
     two = hook = bias = 0
     for k in range(n // 2 + 1):
         label = tuple(x for x in (n - k, k) if x)
-        if _mask_singular_weights(beta_mask(label), ctx) is not None:
+        if _mask_singular_weights(_beta_mask(label), ctx) is not None:
             two |= full << (S * k)
     for k in range(n):
-        if _mask_singular_weights(beta_mask((n - k,) + (1,) * k), ctx) is not None:
+        if _mask_singular_weights(_beta_mask((n - k,) + (1,) * k), ctx) is not None:
             hook |= full << (S * k)
         bias |= 1 << (S * k + S - 1)
     return two, hook, bias

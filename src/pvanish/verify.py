@@ -168,7 +168,7 @@ def degree_column_suite(max_n: int) -> SuiteResult:
     for n in range(max_n + 1):
         level = {}
         for alpha in enumerate_partitions(n):
-            mask = _beta_mask.__wrapped__(alpha)
+            mask = _beta_mask(alpha)
             branching = sum(below[new] for _, new in _rim_moves(mask, 1)) if n else 1
             level[mask] = branching
             hook = degree(alpha)
@@ -253,11 +253,11 @@ def factorization_suite(max_n: int) -> SuiteResult:
     partitions = [list(enumerate_partitions(m)) for m in range(max_n + 1)]
     for n in range(max_n + 1):
         for alpha in partitions[n]:
-            alpha_mask = _beta_mask.__wrapped__(alpha)
+            alpha_mask = _beta_mask(alpha)
             for r in (2, 3, 4, 5):
                 dec = r_decompose(alpha, r)
-                core_mask = _beta_mask.__wrapped__(dec.core)
-                quotient_masks = tuple(map(_beta_mask.__wrapped__, dec.quotient))
+                core_mask = _beta_mask(dec.core)
+                quotient_masks = tuple(map(_beta_mask, dec.quotient))
                 lams = partitions[n - r * dec.weight]
                 for gamma in partitions[dec.weight]:
                     q = dec.sign * _multi(quotient_masks, gamma)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 # first calls hit cold memo tables, so per-example deadlines are meaningless
@@ -40,3 +43,15 @@ def partition_pairs_st(draw, max_n: int = 18):
 
 
 primes_st = st.sampled_from([2, 3, 5, 7])
+
+
+@pytest.fixture
+def no_decompositions(monkeypatch):
+    """Make every pvanish binding of r_decompose raise, so a test can show none is built."""
+
+    def refuse(*args):
+        raise AssertionError(f"r_decompose{args} was called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pvanish" and hasattr(mod, "r_decompose"):
+            monkeypatch.setattr(mod, "r_decompose", refuse)

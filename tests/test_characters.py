@@ -20,7 +20,7 @@ from naive import (
     naive_induced_value,
 )
 import pvanish
-from pvanish import characters, verify
+from pvanish import characters, partitions, verify
 from pvanish.characters import (
     TABLE_GUARD,
     centralizer_order,
@@ -141,8 +141,10 @@ def test_value_rejects():
         (can_remove_sequence, ((1, 3), (4,))),  # (3, 1) is strippable
         (character_value, ((3, 0), (3,))),  # would set a bead at bit 0
         (multi_character_value, (((1, 2),), (3,))),
+        (character_value, ((3, 1, 2), (6,))),  # unsorted past the second part
+        (character_value, ((2, 2, 0), (4,))),  # a zero part after equal parts
     ],
-    ids=["char", "hooks", "strip", "zero-part", "multi"],
+    ids=["char", "hooks", "strip", "zero-part", "multi", "unsorted-tail", "zero-after-equal"],
 )
 def test_non_partition_label_rejected(fn, args):
     with pytest.raises(ValueError, match="weakly decreasing"):
@@ -195,12 +197,6 @@ def test_degree_column_suite_flags_one_wrong_label(wrong_degree):
     wrong_degree(lambda alpha: alpha == (3, 2))
     result = degree_column_suite(8)
     assert result.violations == [{"n": 5, "alpha": [3, 2], "degree": 6, "branching": 5}]
-
-
-def test_degree_column_suite_keeps_no_label_masks():
-    pvanish.clear_caches()
-    assert degree_column_suite(12).passed
-    assert _beta_mask.cache_info().currsize == 0
 
 
 def test_conjugation_twist_suite_small():
@@ -439,9 +435,17 @@ def test_induced_column_matches_naive_oracle(components):
                     assert multi_character_value(labels, lam) == expected, (labels, lam)
 
 
-def test_induced_value_rejects_non_positive_cycles():
-    with pytest.raises(ValueError, match="positive"):
-        induced_character_value(((2,), (1,)), (3, 0))
+@pytest.mark.parametrize("fn", [induced_character_value, multi_character_value])
+@pytest.mark.parametrize(
+    "labels,beta",
+    [(((2,), (1,)), (3, 0)), (((1,),), (2, -1)), (((1, 1),), (2, 0))],
+    ids=["zero", "negative", "zero-shift"],
+)
+def test_induced_value_rejects_non_positive_cycles(fn, labels, beta):
+    # (2, -1) once summed to a class of S_1 with value 0, and (2, 0) reached a
+    # negative shift inside the recursion
+    with pytest.raises(ValueError, match="cycle type parts must be positive"):
+        fn(labels, beta)
 
 
 def test_induced_value_known():
@@ -510,7 +514,9 @@ def test_clear_caches_recomputes_identically():
     is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
     list_p_vanishing(p_adic_context(8, 3), audit=True)
     tables = _memo_tables()
-    assert {"characters._char", "partitions._beta_mask", "partitions._strippable"} <= set(tables)
+    assert {"characters._char", "partitions._strippable"} <= set(tables)
+    assert not hasattr(partitions._beta_mask, "cache_info")
+    assert not hasattr(partitions.r_decompose, "cache_info")
     assert [name for name, t in tables.items() if t.cache_info().currsize == 0] == []
     pvanish.clear_caches()
     assert {name: t.cache_info().currsize for name, t in tables.items()} == dict.fromkeys(tables, 0)

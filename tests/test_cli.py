@@ -11,7 +11,6 @@ import pytest
 
 import pvanish
 from pvanish import cli, verify
-from pvanish.partitions import r_decompose
 from pvanish.vanishing import VanishReport, vanishing_flags
 
 
@@ -61,7 +60,7 @@ def test_degree(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_decompose_compose_roundtrip(capsys):
+def test_decompose_compose_roundtrip(capsys, request):
     code, out, _ = run(capsys, "decompose", "--alpha", "4", "--r", "2", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -70,14 +69,13 @@ def test_decompose_compose_roundtrip(capsys):
     quotient = ";".join(
         "(" + (",".join(str(c) for c in q) or "0") + ")" for q in payload["quotient"]
     )
-    pvanish.clear_caches()
+    # the core check reads the weight alone and builds no decomposition
+    request.getfixturevalue("no_decompositions")
     code, out, _ = run(
         capsys, "compose", "--core", "0", "--quotient", quotient, "--r", "2"
     )
     assert code == 0
     assert out.strip() == "(4)"
-    # the core check reads the weight alone and stores no decomposition
-    assert r_decompose.cache_info().currsize == 0
 
 
 def test_decompose_long_column_matches_compose(capsys):
@@ -312,6 +310,29 @@ def test_verify_zero_checks_exit_2(capsys, argv):
     assert code == 2
     assert "0 checks" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize(
+    "p,skipped", [("2", "conjectures"), ("5", "split-classifier")]
+)
+def test_verify_all_skips_suites_with_zero_checks(capsys, p, skipped):
+    # conjectures takes only p >= 5 and split-classifier only p = 2, 3
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--p", p, "--max-n", "6")
+    assert code == 0
+    assert f"skipped, 0 checks with these options: {skipped}\n" in out
+    assert f"{len(verify.SUITES) - 1} suite(s)" in out
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--p", p, "--max-n", "6", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["skipped"] == [skipped]
+    assert skipped not in [s["name"] for s in payload["suites"]]
+    assert all(s["checks"] > 0 for s in payload["suites"])
+
+
+def test_verify_all_with_zero_checks_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "-1")
+    assert code == 2
+    assert "suite 'all' ran 0 checks" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(

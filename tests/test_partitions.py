@@ -258,19 +258,12 @@ def test_weight_popcount_matches_naive_oracles(n):
     # the runner formula and the count of hook lengths divisible by q agree,
     # and r_weight and the mask popcount equal both; q > n and q = 1 included
     for alpha in enumerate_partitions(n):
-        mask = _beta_mask.__wrapped__(alpha)
+        mask = _beta_mask(alpha)
         for q in range(1, n + 3):
             expected = naive_weight(alpha, q)
             assert naive_hook_weight(alpha, q) == expected
             assert r_weight(alpha, q) == expected
             assert _mask_weight(mask, q) == expected
-
-
-def test_r_weight_keeps_no_masks():
-    _beta_mask.cache_clear()
-    for alpha in enumerate_partitions(12):
-        r_weight(alpha, 2)
-    assert _beta_mask.cache_info().currsize == 0
 
 
 @given(partitions_st(), st.integers(1, 6))

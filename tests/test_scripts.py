@@ -32,6 +32,22 @@ def test_script_runs_clean(script, argv):
     assert proc.stdout.strip()
 
 
+@pytest.mark.parametrize("script", ["reproduce_tables.py", "hunt_counterexamples.py"])
+def test_script_refuses_negative_bound(script):
+    # a bound below 0 scans nothing, which must not pass as a clean run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--max-n", "-1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "--max-n must be >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_hunt_refuses_prime_past_cap():
     # 2^61 - 1 is prime; trial division on it would run for minutes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -10,7 +10,7 @@ import pvanish
 from pvanish import characters, vanishing
 from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
-from pvanish.partitions import _beta_mask, enumerate_partitions, r_decompose
+from pvanish.partitions import _beta_mask, enumerate_partitions
 from pvanish.vanishing import (
     _singular_labels,
     DEFAULT_SWEEP_LIMIT,
@@ -43,11 +43,10 @@ def test_singular_partitions_match_predicate(n, p):
     assert singular_partitions(n, p) == expected
 
 
-def test_singular_filter_builds_no_decompositions():
+def test_singular_filter_builds_no_decompositions(no_decompositions):
     # the b_invariants test reads r-weights only, never the full record
     pvanish.clear_caches()
-    singular_partitions(20, 2)
-    assert r_decompose.cache_info().currsize == 0
+    assert len(singular_partitions(20, 2)) > 0
 
 
 def test_witness_is_singular_with_nonzero_value():
@@ -98,15 +97,6 @@ def test_weight_bound_skips_only_zero_values(p):
                     skipped += 1
                     assert character_value(alpha, beta) == 0, (alpha, beta)
     assert skipped > 0
-
-
-def test_sweep_keeps_no_label_masks():
-    # the scan reads each label's mask from the per-(n, p) table
-    pvanish.clear_caches()
-    ctx = p_adic_context(20, 7)
-    list_p_vanishing(ctx)
-    check_conjectures(ctx)
-    assert _beta_mask.cache_info().currsize == 0
 
 
 def test_witness_scan_keeps_top_level_pairs_out_of_memo():
@@ -213,7 +203,7 @@ def test_walk_matches_enumeration_and_masks():
     for n in range(31):
         walked = [(alpha, mask) for alpha, mask, _, _ in vanishing._walk(n)]
         assert [alpha for alpha, _ in walked] == list(enumerate_partitions(n))
-        assert all(mask == _beta_mask.__wrapped__(alpha) for alpha, mask in walked)
+        assert all(mask == _beta_mask(alpha) for alpha, mask in walked)
 
 
 def _table_state(table):
