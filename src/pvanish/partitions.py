@@ -204,6 +204,26 @@ def _rim_moves(mask: int, k: int) -> Iterator[tuple[int, int]]:
         yield leg, new >> ((~new & (new + 1)).bit_length() - 1)
 
 
+def _rim_additions(mask: int, k: int) -> Iterator[tuple[int, int]]:
+    """(leg, new mask) for each addable k-hook, highest bead first; inverse of _rim_moves.
+
+    The mask is padded with k beads below, enough for a bead of a zero-length
+    part to move up.  A bead at x under a gap at x + k is an addable k-hook;
+    adding it flips both bits, its leg is the number of beads strictly
+    between them, and the new mask is normalized as in _rim_moves.
+    """
+    padded = mask << k | ((1 << k) - 1)
+    sources = padded & ~(padded >> k)
+    between = (1 << (k - 1)) - 1
+    ends = (1 << k) | 1
+    while sources:
+        x = sources.bit_length() - 1
+        sources ^= 1 << x
+        new = padded ^ (ends << x)
+        leg = ((padded >> (x + 1)) & between).bit_count()
+        yield leg, new >> ((~new & (new + 1)).bit_length() - 1)
+
+
 def removable_hooks(alpha: Partition, length: int) -> list[HookRemoval]:
     """All removals of a rim hook of the given length, by origin row ascending.
 

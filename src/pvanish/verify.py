@@ -15,7 +15,9 @@ from operator import lshift, mul
 
 from .characters import (
     _char,
+    _column,
     _multi,
+    _multi_key,
     centralizer_order,
     character_table,
     degree,
@@ -245,9 +247,11 @@ def factorization_suite(max_n: int) -> SuiteResult:
     For every alpha, r in 2..5, gamma a partition of the r-weight and lam of
     what is left, the value of alpha on merged_cycle_type(r, gamma, lam) is
     compared with sign * (quotient tuple on gamma) * (core on lam), all read
-    from r_decompose.  The partitions of each size are listed once, the
-    alpha, core and quotient masks are built once per (alpha, r), and the
-    quotient factor once per gamma.
+    from r_decompose.  The direct side is read from the merged class's column
+    (characters._column, hook addition); the core and quotient factors come
+    from the removal recursions _char and _multi.  The partitions of each
+    size are listed once, the alpha, core and quotient masks are built once
+    per (alpha, r), and the quotient factor once per gamma.
     """
     res = SuiteResult("factorization")
     partitions = [list(enumerate_partitions(m)) for m in range(max_n + 1)]
@@ -257,12 +261,12 @@ def factorization_suite(max_n: int) -> SuiteResult:
             for r in (2, 3, 4, 5):
                 dec = r_decompose(alpha, r)
                 core_mask = _beta_mask(dec.core)
-                quotient_masks = tuple(map(_beta_mask, dec.quotient))
+                quotient_masks = _multi_key(map(_beta_mask, dec.quotient))
                 lams = partitions[n - r * dec.weight]
                 for gamma in partitions[dec.weight]:
                     q = dec.sign * _multi(quotient_masks, gamma)
                     for lam in lams:
-                        direct = _char(alpha_mask, merged_cycle_type(r, gamma, lam))
+                        direct = _column(merged_cycle_type(r, gamma, lam)).get(alpha_mask, 0)
                         split = q * _char(core_mask, lam)
                         res.checks += 1
                         if direct != split:
@@ -298,7 +302,9 @@ def multichar_suite(max_total: int) -> SuiteResult:
 
     Label tuples have one to three components.  Both peel orders (largest
     and smallest cycle first) run on the recursion directly, with the
-    component masks built once per label tuple; the induced column of each
+    component masks built once per label tuple into _multi's sorted key, so
+    tuples that differ only in order or in empty components share memo
+    entries; the induced column of each
     label tuple is also built once and read class by class.
     """
     res = SuiteResult("multichar")
@@ -306,7 +312,7 @@ def multichar_suite(max_total: int) -> SuiteResult:
         classes = list(enumerate_partitions(total))
         for s in (1, 2, 3):
             for labels in _label_tuples(total, s):
-                masks = tuple(map(_beta_mask, labels))
+                masks = _multi_key(map(_beta_mask, labels))
                 column = induced_character_values(labels)
                 for lam in classes:
                     lead = _multi(masks, lam)
@@ -348,9 +354,9 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
 # Every suite in run order: name -> (default primes, default bound, runner).
 # A runner takes (primes, bound) and looks its suite up by module-global name
 # when it runs, so a rebinding of that global (a tracing wrapper) is honoured.
-# With the default bounds, `verify --suite all` takes 1.6-1.9 s in-process on
-# one core of a 2-core Xeon VM under Python 3.11; equivalence, at about
-# 0.45 s, is the largest share.
+# With the default bounds, `verify --suite all` takes 1.3-2.1 s in-process on
+# one core of a 2-core Xeon VM under Python 3.11 (the VM drifts between speed
+# states); equivalence, at 0.45-0.55 s, is the largest share.
 SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], SuiteResult]]] = {
     "equivalence": ((2, 3, 5), 22, lambda primes, n: equivalence_suite(primes, n)),
     "orthogonality": ((), 13, lambda primes, n: orthogonality_suite(n)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from itertools import product
@@ -23,6 +24,8 @@ import pvanish
 from pvanish import characters, partitions, verify
 from pvanish.characters import (
     TABLE_GUARD,
+    _multi,
+    _multi_key,
     centralizer_order,
     character_table,
     character_value,
@@ -448,6 +451,37 @@ def test_induced_value_rejects_non_positive_cycles(fn, labels, beta):
         fn(labels, beta)
 
 
+@st.composite
+def _reordered_label_tuples(draw):
+    """(labels, beta, reordered): 1-3 components of total n <= 8, a class of n,
+    and the same components permuted with up to two empty ones inserted."""
+    labels, room = [], 8
+    for _ in range(draw(st.integers(1, 3))):
+        labels.append(draw(partitions_st(max_n=room)))
+        room -= sum(labels[-1])
+    n = 8 - room
+    beta = draw(partitions_st(max_n=n, min_n=n))
+    reordered = draw(st.permutations(labels + [()] * draw(st.integers(0, 2))))
+    return tuple(labels), beta, tuple(reordered)
+
+
+@given(_reordered_label_tuples())
+def test_multi_value_ignores_component_order_and_empty_components(case):
+    labels, beta, reordered = case
+    assert multi_character_value(reordered, beta) == naive_induced_value(labels, beta)
+
+
+def test_multi_on_a_non_canonical_key_matches_the_canonical_key():
+    labels = ((2, 1), (), (3,), (1,), (2, 1))
+    masks = tuple(map(_beta_mask, labels))
+    assert _multi_key(masks) != masks
+    induced = induced_character_values(labels)
+    pvanish.clear_caches()
+    for beta in enumerate_partitions(10):
+        value = _multi(masks, beta)
+        assert value == _multi(_multi_key(masks), beta) == induced.get(beta, 0), beta
+
+
 def test_induced_value_known():
     # two trivial components: value counts the splittings of the class
     assert induced_character_value(((1,), (1,)), (1, 1)) == 2
@@ -466,6 +500,31 @@ def test_character_table_matches_hardcoded_s5():
     for i, alpha in enumerate(table.labels):
         for j, beta in enumerate(table.labels):
             assert table.values[i][j] == S5_TABLE[alpha][beta]
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_character_table_matches_removal_recursion(n):
+    table = character_table(n)
+    for mask, row in zip(map(_beta_mask, table.labels), table.values):
+        assert list(row) == [characters._char(mask, beta) for beta in table.labels]
+
+
+def test_columns_hold_only_nonzero_values_of_their_labels():
+    for n in range(13):
+        masks = set(map(_beta_mask, enumerate_partitions(n)))
+        for beta in enumerate_partitions(n):
+            column = characters._column(beta)
+            assert set(column) <= masks and 0 not in column.values(), beta
+
+
+# SHA-256 of repr(character_table(n).values) concatenated over n = 0 .. 14,
+# taken when every cell was evaluated by the removal recursion _char
+CHARACTER_TABLE_DIGEST = "247b397b464c6f0b2360a603e39487a8e1f6cd2d4ba1284c7a13799c8d29d65c"
+
+
+def test_character_tables_match_pinned_digest():
+    reprs = "".join(repr(character_table(n).values) for n in range(15))
+    assert hashlib.sha256(reprs.encode()).hexdigest() == CHARACTER_TABLE_DIGEST
 
 
 def test_character_table_guard():
@@ -513,6 +572,7 @@ def test_clear_caches_recomputes_identically():
     can_remove_sequence((4, 3, 1), (3, 3))
     is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
     list_p_vanishing(p_adic_context(8, 3), audit=True)
+    character_table(4)
     tables = _memo_tables()
     assert {"characters._char", "partitions._strippable"} <= set(tables)
     assert not hasattr(partitions._beta_mask, "cache_info")

@@ -36,6 +36,7 @@ from pvanish.partitions import (
     _beta_mask,
     _mask_partition,
     _mask_weight,
+    _rim_additions,
     _rim_moves,
 )
 
@@ -201,6 +202,22 @@ def test_rim_moves_keep_one_mask_per_partition(n):
                 for _, _, leg, res in naive_rim_removals(alpha, length)
             ]
             assert got == expected, (alpha, length)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_rim_additions_invert_rim_moves(n):
+    # adding a k-hook to mu gives the same (leg, mask) pairs as every removal
+    # of a k-hook, from a partition of n + k, that lands on mu
+    masks = list(map(_beta_mask, enumerate_partitions(n)))
+    for k in range(1, n + 2):
+        landing: dict[int, list[tuple[int, int]]] = {}
+        for lam in enumerate_partitions(n + k):
+            mask = _beta_mask(lam)
+            for leg, new in _rim_moves(mask, k):
+                landing.setdefault(new, []).append((leg, mask))
+        assert set(landing) <= set(masks), k
+        for mask in masks:
+            assert sorted(_rim_additions(mask, k)) == sorted(landing.get(mask, [])), (mask, k)
 
 
 def test_removable_hooks_empty_cases():
