@@ -304,8 +304,8 @@ def multichar_suite(max_total: int) -> SuiteResult:
     and smallest cycle first) run on the recursion directly, with the
     component masks built once per label tuple into _multi's sorted key, so
     tuples that differ only in order or in empty components share memo
-    entries; the induced column of each
-    label tuple is also built once and read class by class.
+    entries; the induced column of each label tuple is also built once and
+    read class by class.
     """
     res = SuiteResult("multichar")
     for total in range(max_total + 1):
