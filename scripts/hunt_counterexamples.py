@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from pvanish.padic import p_adic_context
 from pvanish.partitions import MAX_PARTITION_SIZE
 from pvanish.vanishing import conjecture_sweep
 
@@ -25,12 +26,20 @@ def main() -> int:
     if args.max_n < 0:
         parser.error("--max-n must be >= 0: a negative bound scans nothing")
 
-    primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
+    try:
+        primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
+    except ValueError:
+        parser.error(f"--p takes a comma list of integers, got {args.p!r}")
     if any(p < 5 for p in primes):
         parser.error("conjecture scans apply to p >= 5")
     if any(p > MAX_PARTITION_SIZE for p in primes):
         # trial division alone would run for minutes at p near 2^61
         parser.error(f"primes are capped at {MAX_PARTITION_SIZE}")
+    for p in primes:
+        try:
+            p_adic_context(0, p)  # the prime check every sweep makes
+        except ValueError as exc:
+            parser.error(str(exc))
 
     found = 0
     for p in primes:

@@ -71,7 +71,7 @@ from .vanishing import (
     list_p_vanishing,
     structural_split,
     suffix_reduction_check,
-    vanishing_flags,
+    vanishing_classes,
 )
 
 __version__ = "0.1.0"
@@ -139,6 +139,6 @@ __all__ = [
     "structural_split",
     "suffix_reduction_check",
     "valuation",
-    "vanishing_flags",
+    "vanishing_classes",
     "weight_digit",
 ]

@@ -10,6 +10,7 @@ i sum to a_i p^i.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from typing import NamedTuple
 
 from . import characters
@@ -18,6 +19,7 @@ from .partitions import (
     _beta_mask,
     _mask_weight,
     can_remove_sequence,
+    enumerate_partitions,
     hook_lengths,
     r_weight,
 )
@@ -145,6 +147,20 @@ def is_p_adic_type(alpha: Partition, ctx: PAdicContext) -> bool:
         rest = [c for c in rest if not c % up]
         q = up
     return True
+
+
+def p_adic_type_classes(ctx: PAdicContext) -> tuple[Partition, ...]:
+    """Every partition of ctx.n of p-adic type, in enumerate_partitions order.
+
+    Its parts of valuation i are p^i times a partition of a_i < p, so they lie
+    in [p^i, p^(i+1)), and the product of the levels, top first, each level's
+    partitions in decreasing order, is in decreasing order too.
+    """
+    levels = [
+        [tuple(ctx.p**i * c for c in mu) for mu in enumerate_partitions(ctx.digit(i))]
+        for i in range(ctx.k, -1, -1)
+    ]
+    return tuple(sum(parts, ()) for parts in product(*levels))
 
 
 def weight_digit(alpha: Partition, p: int, i: int) -> int:

@@ -180,8 +180,13 @@ def _beads(mask: int) -> Iterator[int]:
 
 
 def _mask_partition(mask: int) -> Partition:
-    """Inverse of _beta_mask, for a mask of any display size."""
-    return from_beta_set(_beads(mask))
+    """Inverse of _beta_mask, for a mask of any display size.
+
+    The j-th bead from the bottom (0-indexed), at x, gives the part x - j;
+    the beads below the lowest gap give the parts 0, which are dropped.
+    """
+    parts = [x - j for j, x in enumerate(_beads(mask)) if x > j]
+    return tuple(parts[::-1])
 
 
 def _rim_moves(mask: int, k: int) -> Iterator[tuple[int, int]]:

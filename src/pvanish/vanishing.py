@@ -16,18 +16,18 @@ where r = 3 for p = 2 and r = 2 for p = 3.  The tail lands below p^r, so a
 fixed table of small cases closes the recursion.  The two classifiers are
 kept independent and compared over full sweeps.
 
-Each (n, p) is classified once per process: vanishing_flags is the one memo
-of a sweep, and every report, audit and scan reads it.  It walks the
-partitions of n once.  Read as labels, they fill the table of p-singular
-labels that the oracle scans.  Read as classes, two closed-form tiers decide
-almost all of them: a class is nonvanishing as soon as a p-singular two-row
-label (Young's rule) or hook label (Macdonald 1995, ch. I) is nonzero on it,
-and both families come from two integer polynomials per class, packed into
-one int each and shared along the prefix that consecutive partitions have in
-common.  Only the classes that neither tier decides go to the brute-force
+Each (n, p) is classified once per process: vanishing_classes, the one memo
+of a sweep, keeps only the vanishing classes.  It walks the partitions of n
+once.  Read as labels, they fill a p-singular label table that lives only for
+the walk.  Read as classes, two closed-form tiers decide almost all of them:
+a class is nonvanishing as soon as a p-singular two-row label (Young's rule)
+or hook label (Macdonald 1995, ch. I) is nonzero on it, and both families
+come from two integer polynomials per class, packed into one int each and
+shared along the prefix that consecutive partitions have in common.  Only the
+classes that neither tier decides go to the column scan of the brute-force
 oracle, nonvanishing_witness, whose witness does not depend on the tiers.
-A nonvanishing witness is recomputed, by one column scan, only for a class
-that is reported.
+The reports build the p-adic-type and structural classes they compare with
+directly, and rescan for a witness only a class that they report.
 
 For p >= 5 the classification is conjectural; scan functions hunt for
 counterexamples and only ever report "none found".
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import compress
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .characters import _char
 from .padic import (
@@ -46,6 +45,7 @@ from .padic import (
     _mask_singular_weights,
     is_p_adic_type,
     p_adic_context,
+    p_adic_type_classes,
 )
 from .partitions import Partition, _beta_mask, enumerate_partitions
 
@@ -141,18 +141,11 @@ class _SingularLabels:
         return compress(range(len(self.labels)), selector)
 
 
-# One singular-label table per (n, p), built at most once per process: by the
-# walk of vanishing_flags, or by _singular_labels when it is asked first.
-_LABEL_TABLES: dict[tuple[int, int], _SingularLabels] = {}
-
-
+@cache
 def _singular_labels(n: int, p: int) -> _SingularLabels:
-    table = _LABEL_TABLES.get((n, p))
-    if table is None:
-        table = _SingularLabels(n, p)
-        for alpha in enumerate_partitions(n):
-            table.add(alpha, _beta_mask(alpha))
-        _LABEL_TABLES[n, p] = table
+    table = _SingularLabels(n, p)
+    for alpha in enumerate_partitions(n):
+        table.add(alpha, _beta_mask(alpha))
     return table
 
 
@@ -161,11 +154,28 @@ def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
     return tuple(_singular_labels(n, p).labels)
 
 
+def _witness(table: _SingularLabels, cycles: Partition) -> tuple[Partition, int] | None:
+    """The first label of table, with its value, nonzero on the sorted class cycles.
+
+    The labels are partitions of n by construction, so the size check of
+    character_value is a tautology here.  Each top-level (label, class) pair
+    is used once, so it bypasses the memo; every deeper pair goes through
+    _char and is shared with the other columns.
+    """
+    labels, masks = table.labels, table.masks
+    uncached = _char.__wrapped__
+    for i in table.candidates(cycles):
+        value = uncached(masks[i], cycles)
+        if value:
+            return (labels[i], value)
+    return None
+
+
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
     """A p-singular label with nonzero value on beta, or None if beta p-vanishes.
 
-    Not memoized: sweeps read vanishing_flags, and only a reported class has
-    its witness scanned for again.
+    Not memoized: sweeps read vanishing_classes, and only a reported class
+    has its witness scanned for again.
 
     The witness is the first such label in enumeration order.  Labels that
     the weight bound rules out are skipped without evaluation: peeling the
@@ -181,18 +191,7 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
     cycles = tuple(sorted(beta, reverse=True))
-    table = _singular_labels(sum(beta), p)
-    labels, masks = table.labels, table.masks
-    # The labels are partitions of sum(beta) by construction, so the size check
-    # of character_value is a tautology here.  Each top-level (label, class)
-    # pair is used once, so it bypasses the memo; every deeper pair goes
-    # through _char and is shared with the other columns.
-    uncached = _char.__wrapped__
-    for i in table.candidates(cycles):
-        value = uncached(masks[i], cycles)
-        if value:
-            return (labels[i], value)
-    return None
+    return _witness(_singular_labels(sum(beta), p), cycles)
 
 
 def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
@@ -284,42 +283,35 @@ def _tier_masks(ctx: PAdicContext) -> tuple[int, int, int]:
 
 
 @cache
-def vanishing_flags(n: int, p: int) -> Mapping[Partition, bool]:
-    """Brute-force vanishing flag for every cycle type of S_n, in enumeration order.
+def vanishing_classes(n: int, p: int) -> tuple[Partition, ...]:
+    """The p-vanishing cycle types of S_n, by brute force, in enumeration order.
 
     The one per-class memo of a sweep: each (n, p) is classified once per
-    process into a read-only mapping that every consumer shares.  One walk
-    over the partitions of n does two jobs.  Read as labels, they fill the
-    singular-label table of (n, p), unless it is already built.  Read as
-    classes, each is marked nonvanishing as soon as a p-singular two-row or
-    hook label is nonzero on it:
+    process, and only the vanishing classes are kept.  One walk over the
+    partitions of n does two jobs.  Read as labels, they fill the
+    singular-label table of (n, p), which is dropped when the walk is done.
+    Read as classes, each is marked nonvanishing as soon as a p-singular
+    two-row or hook label is nonzero on it:
       two-row  chi^(n-k,k) = c_k - c_(k-1), nonzero where c ^ (c << S) is;
       hook     h / (1 + x), exact, holds chi^(n-k,1^k) in its slot k, and it
                is nonzero where its biased slots differ from the bias.
     Two-column labels add nothing: a conjugate label has the same
     singularity, and its value differs only in sign.  Only the classes left
-    undecided, p-adic-type classes among them, go to nonvanishing_witness,
-    after the walk; its column scans reuse each other's values through the
-    _char memo.
+    undecided, p-adic-type classes among them, are scanned against the
+    table, after the walk; the column scans reuse each other's values
+    through the _char memo.
     """
     ctx = p_adic_context(n, p)
     two, hook, bias = _tier_masks(ctx)
     S = n + 2
     divisor = (1 << S) + 1
-    table = None if (n, p) in _LABEL_TABLES else _SingularLabels(n, p)
-    flags: dict[Partition, bool] = {}  # True: undecided by the tiers
+    table = _SingularLabels(n, p)
+    undecided = []
     for beta, mask, c, h in _walk(n):
-        if table is not None:
-            table.add(beta, mask)
-        flags[beta] = not (
-            (c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook
-        )
-    if table is not None:
-        _LABEL_TABLES[n, p] = table
-    for beta, undecided in flags.items():
-        if undecided:
-            flags[beta] = nonvanishing_witness(beta, p) is None
-    return MappingProxyType(flags)
+        table.add(beta, mask)
+        if not ((c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook):
+            undecided.append(beta)
+    return tuple(beta for beta in undecided if _witness(table, beta) is None)
 
 
 @cache
@@ -329,7 +321,7 @@ def base_vanishing_table(p: int) -> dict[int, frozenset[Partition]]:
         raise ValueError(f"no structural classifier for p={p}")
     table = _BASE_TABLE[p]
     for n, expected in table.items():
-        got = frozenset(b for b, ok in vanishing_flags(n, p).items() if ok)
+        got = frozenset(vanishing_classes(n, p))
         if got != expected:
             raise RuntimeError(
                 f"base table mismatch at p={p}, n={n}: "
@@ -338,38 +330,49 @@ def base_vanishing_table(p: int) -> dict[int, frozenset[Partition]]:
     return table
 
 
+def _check_class(beta: Partition, ctx: PAdicContext) -> None:
+    """Raise ValueError unless beta is a partition of ctx.n, parts weakly decreasing."""
+    if sum(beta) != ctx.n:
+        raise ValueError(f"{beta} is not a partition of {ctx.n}")
+    if any(c < 1 for c in beta) or any(a < b for a, b in zip(beta, beta[1:])):
+        raise ValueError(f"cycle type parts must be positive and weakly decreasing: {beta}")
+
+
 def structural_split(beta: Partition, ctx: PAdicContext) -> int | None:
     """Index i splitting beta into p-adic head and small vanishing tail, or None.
 
     beta[:i] must be a p-adic-type partition of div(r) * p^r and beta[i:]
-    a vanishing cycle type of rem(r) per the base table.  Prefix sums are
-    strictly increasing, so at most one index can match the head size.
+    a vanishing cycle type of rem(r) per the base table.  Such a head has
+    every part divisible by p^r and such a tail every part below it, so in
+    beta, which must be weakly decreasing, i is the number of parts >= p^r.
     """
-    if sum(beta) != ctx.n:
-        raise ValueError(f"{beta} is not a partition of {ctx.n}")
-    if ctx.p not in STRUCTURAL_LEVEL:
-        raise ValueError(f"no structural classifier for p={ctx.p}")
-    r = STRUCTURAL_LEVEL[ctx.p]
+    _check_class(beta, ctx)
     table = base_vanishing_table(ctx.p)
-    head_size = ctx.div(r) * ctx.p**r
-    tail_size = ctx.rem(r)
-    running = 0
-    for i in range(len(beta) + 1):
-        if running == head_size:
-            head, tail = beta[:i], beta[i:]
-            head_ctx = p_adic_context(head_size, ctx.p)
-            if is_p_adic_type(head, head_ctx) and tail in table[tail_size]:
-                return i
-            return None
-        if running > head_size:
-            return None
-        if i < len(beta):
-            running += beta[i]
+    r = STRUCTURAL_LEVEL[ctx.p]
+    i = sum(1 for c in beta if c >= ctx.p**r)
+    # a tail from the table sums to rem(r), so the head sums to div(r) * p^r
+    head_ctx = p_adic_context(ctx.div(r) * ctx.p**r, ctx.p)
+    if beta[i:] in table[ctx.rem(r)] and is_p_adic_type(beta[:i], head_ctx):
+        return i
     return None
 
 
 def is_p_vanishing_structural(beta: Partition, ctx: PAdicContext) -> bool:
-    return structural_split(beta, ctx) is not None
+    return structural_split(tuple(sorted(beta, reverse=True)), ctx) is not None
+
+
+def structural_classes(ctx: PAdicContext) -> tuple[Partition, ...]:
+    """The cycle types of S_n with a structural split, in enumeration order.
+
+    A p-adic-type head of div(r) * p^r has every part divisible by p^r, and
+    a base-table tail of rem(r) every part below it, so each head, tail pair
+    in decreasing order, heads outermost, concatenates in decreasing order.
+    """
+    table = base_vanishing_table(ctx.p)
+    r = STRUCTURAL_LEVEL[ctx.p]
+    heads = p_adic_type_classes(p_adic_context(ctx.div(r) * ctx.p**r, ctx.p))
+    tails = sorted(table[ctx.rem(r)], reverse=True)
+    return tuple(head + tail for head in heads for tail in tails)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +439,7 @@ def _suffix_reduction_holds(beta: Partition, p: int, m: int, whole: bool) -> boo
     if cut == 0:
         return True  # the tail is beta itself
     tail = beta[cut:]
-    return vanishing_flags(sum(tail), p)[tail] == whole
+    return (tail in vanishing_classes(sum(tail), p)) == whole
 
 
 def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool | None:
@@ -444,16 +447,16 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
 
     Applicable when, for every t with m <= t <= k, the parts divisible by
     p^t sum to div(t) * p^t; returns None otherwise.  When applicable the
-    two statuses, read from vanishing_flags, must agree; when no part reaches
-    p^m the tail is beta itself and shares its flag.
+    two statuses, read from vanishing_classes, must agree; when no part
+    reaches p^m the tail is beta itself and shares its status.  beta must be
+    weakly decreasing, the form in which vanishing_classes lists it.
     """
-    if sum(beta) != ctx.n:
-        raise ValueError(f"{beta} is not a partition of {ctx.n}")
+    _check_class(beta, ctx)
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
     if m < _lowest_suffix_level(beta, ctx):
         return None
-    return _suffix_reduction_holds(beta, ctx.p, m, vanishing_flags(ctx.n, ctx.p)[beta])
+    return _suffix_reduction_holds(beta, ctx.p, m, beta in vanishing_classes(ctx.n, ctx.p))
 
 
 class StructureAudit:
@@ -505,7 +508,8 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
     informational, not as violations.
     """
     n, p, k = ctx.n, ctx.p, ctx.k
-    audit = StructureAudit(n=n, p=p, vanishing_count=0)
+    vanishing = vanishing_classes(n, p)
+    audit = StructureAudit(n=n, p=p, vanishing_count=len(vanishing))
 
     def tally(name: str) -> None:
         audit.checked[name] = audit.checked.get(name, 0) + 1
@@ -513,9 +517,6 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
     def flag(where: list[dict], name: str, beta: Partition, **details) -> None:
         where.append({"predicate": name, "beta": list(beta), **details})
 
-    flags = vanishing_flags(n, p)
-    vanishing = [beta for beta, ok in flags.items() if ok]
-    audit.vanishing_count = len(vanishing)
     for beta in vanishing:
         if not beta:
             continue
@@ -571,9 +572,11 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
 
     # one walk over the levels per class gives every m the check applies at
     applicable = 0
-    for beta, whole in flags.items():
+    vanishing_set = set(vanishing)
+    for beta in enumerate_partitions(n):
         low = _lowest_suffix_level(beta, ctx)
         applicable += k + 2 - low
+        whole = beta in vanishing_set
         for m in range(low, k + 2):
             if not _suffix_reduction_holds(beta, p, m, whole):
                 flag(audit.violations, "suffix_reduction", beta, m=m)
@@ -634,41 +637,40 @@ def list_p_vanishing(
 ) -> VanishReport:
     """All p-vanishing cycle types of S_n, annotated, in enumeration order.
 
-    For p in {2, 3} every flag is cross-checked against the structural
-    classifier and a disagreement lands in counterexamples.  Sweeps above
-    the configured limit must opt in explicitly.
+    For p in {2, 3} the vanishing classes are cross-checked against the
+    structural ones, and each class in one set but not the other lands in
+    counterexamples, in enumeration order.  Sweeps above the configured
+    limit must opt in explicitly.
     """
     _check_sweep_limit(ctx.n, limit)
-    flags = vanishing_flags(ctx.n, ctx.p)
+    vanishing = vanishing_classes(ctx.n, ctx.p)
     structural = ctx.p in STRUCTURAL_LEVEL
-    entries: list[VanishEntry] = []
+    audits: dict = {}
     counterexamples: list[dict] = []
-    agreement = True
-    for beta, ok in flags.items():
-        split = structural_split(beta, ctx) if structural else None
-        if structural and ok != (split is not None):
-            agreement = False
+    if structural:
+        vanishing_set = set(vanishing)
+        disagreements = vanishing_set.symmetric_difference(structural_classes(ctx))
+        for beta in sorted(disagreements, reverse=True):  # enumeration order
+            ok = beta in vanishing_set
             witness = nonvanishing_witness(beta, ctx.p)
             counterexamples.append(
                 {
                     "kind": "classifier_disagreement",
                     "beta": list(beta),
                     "bruteforce": ok,
-                    "structural": split is not None,
+                    "structural": not ok,
                     "witness": [list(witness[0]), witness[1]] if witness else None,
                 }
             )
-        if ok:
-            entries.append(
-                VanishEntry(
-                    parts=beta,
-                    p_adic_type=is_p_adic_type(beta, ctx),
-                    split_i=split,
-                )
-            )
-    audits: dict = {}
-    if structural:
-        audits["structural_agreement"] = agreement
+        audits["structural_agreement"] = not counterexamples
+    entries = [
+        VanishEntry(
+            parts=beta,
+            p_adic_type=is_p_adic_type(beta, ctx),
+            split_i=structural_split(beta, ctx) if structural else None,
+        )
+        for beta in vanishing
+    ]
     if audit:
         result = audit_vanishing_structure(ctx)
         audits["structure"] = result.to_json_dict()
@@ -716,24 +718,24 @@ def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> Conject
         raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
     _check_sweep_limit(ctx.n, limit)
     a0 = ctx.digit(0)
-    scan = ConjectureScan(ctx.n, ctx.p, [], [], [], [])
-    for beta, ok in vanishing_flags(ctx.n, ctx.p).items():
-        typed = is_p_adic_type(beta, ctx)
-        if ok:
-            scan.vanishing.append(beta)
-            if not typed:
-                scan.type_mismatches.append(beta)
-            small = sum(c for c in beta if c < a0)
-            if small > a0:
-                scan.sum_bound_violations.append(
-                    {
-                        "kind": "small_part_sum_exceeds_last_digit",
-                        "beta": list(beta),
-                        "sum": small,
-                        "bound": a0,
-                    }
-                )
-        elif typed:
+    vanishing = vanishing_classes(ctx.n, ctx.p)
+    scan = ConjectureScan(ctx.n, ctx.p, list(vanishing), [], [], [])
+    for beta in vanishing:
+        if not is_p_adic_type(beta, ctx):
+            scan.type_mismatches.append(beta)
+        small = sum(c for c in beta if c < a0)
+        if small > a0:
+            scan.sum_bound_violations.append(
+                {
+                    "kind": "small_part_sum_exceeds_last_digit",
+                    "beta": list(beta),
+                    "sum": small,
+                    "bound": a0,
+                }
+            )
+    vanishing_set = set(vanishing)
+    for beta in p_adic_type_classes(ctx):
+        if beta not in vanishing_set:
             # reported, so its witness is scanned for again
             alpha, value = nonvanishing_witness(beta, ctx.p)
             scan.missed_types.append(
@@ -782,6 +784,6 @@ def conjecture_sweep(
 
 def clear_caches() -> None:
     """Drop the sweep-level memo tables."""
-    _LABEL_TABLES.clear()
-    vanishing_flags.cache_clear()
+    _singular_labels.cache_clear()
+    vanishing_classes.cache_clear()
     base_vanishing_table.cache_clear()

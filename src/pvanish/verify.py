@@ -30,7 +30,7 @@ from .vanishing import (
     audit_vanishing_structure,
     conjecture_sweep,
     is_p_vanishing_structural,
-    vanishing_flags,
+    vanishing_classes,
 )
 
 
@@ -217,8 +217,10 @@ def split_classifier_suite(primes: list[int], max_n: int) -> SuiteResult:
             continue
         for n in range(max_n + 1):
             ctx = p_adic_context(n, p)
-            for beta, ok in vanishing_flags(n, p).items():
+            vanishing = set(vanishing_classes(n, p))
+            for beta in enumerate_partitions(n):
                 res.checks += 1
+                ok = beta in vanishing
                 if ok != is_p_vanishing_structural(beta, ctx):
                     res.violations.append(
                         {"p": p, "n": n, "beta": list(beta), "bruteforce": ok}
@@ -344,7 +346,8 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
         if p < 5:
             continue
         sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n)
-        res.checks += sum(len(vanishing_flags(s.n, p)) for s in sweep.scans)
+        # every class of every S_n is classified, once
+        res.checks += sum(1 for s in sweep.scans for _ in enumerate_partitions(s.n))
         res.violations.extend({**c, "p": p} for c in sweep.counterexamples)
         if not sweep.equivalence_consistent:
             res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})

@@ -45,7 +45,7 @@ from pvanish.partitions import (
     r_decompose,
     removable_hooks,
 )
-from pvanish.vanishing import list_p_vanishing
+from pvanish.vanishing import list_p_vanishing, singular_partitions
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -572,6 +572,7 @@ def test_clear_caches_recomputes_identically():
     can_remove_sequence((4, 3, 1), (3, 3))
     is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
     list_p_vanishing(p_adic_context(8, 3), audit=True)
+    singular_partitions(8, 3)
     character_table(4)
     tables = _memo_tables()
     assert {"characters._char", "partitions._strippable"} <= set(tables)

@@ -11,7 +11,7 @@ import pytest
 
 import pvanish
 from pvanish import cli, verify
-from pvanish.vanishing import VanishReport, vanishing_flags
+from pvanish.vanishing import VanishReport, vanishing_classes
 
 
 def run(capsys, *argv):
@@ -219,7 +219,7 @@ def test_sweep_range_checked_before_sweeping(capsys):
     code, _, err = run(capsys, "vanishing", "--p", "2", "--n", "0..31")
     assert code == 2
     assert "--limit" in err
-    assert vanishing_flags.cache_info().currsize == 0
+    assert vanishing_classes.cache_info().currsize == 0
 
 
 def test_fixed_point_tail_costs_no_depth(capsys):

@@ -15,6 +15,7 @@ from pvanish.padic import (
     is_p_adic_type,
     is_p_singular,
     p_adic_context,
+    p_adic_type_classes,
     p_adic_type_witness,
     p_power_partition,
     singular_weights,
@@ -115,6 +116,15 @@ def test_p_adic_type_loop_matches_witness(p):
         ctx = p_adic_context(n, p)
         for alpha in enumerate_partitions(n):
             assert is_p_adic_type(alpha, ctx) == (not p_adic_type_witness(alpha, ctx).failures)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_p_adic_type_classes_match_the_predicate(p):
+    # built level by level, they come out as the filter of the enumeration
+    for n in range(26):
+        ctx = p_adic_context(n, p)
+        expected = tuple(a for a in enumerate_partitions(n) if is_p_adic_type(a, ctx))
+        assert p_adic_type_classes(ctx) == expected, n
 
 
 def test_p_adic_type_examples():

@@ -34,6 +34,7 @@ from pvanish.partitions import (
     r_weight,
     removable_hooks,
     _beta_mask,
+    _display,
     _mask_partition,
     _mask_weight,
     _rim_additions,
@@ -186,6 +187,9 @@ def test_beta_mask_is_the_beta_set(alpha):
     assert mask & 1 == 0
     assert mask == sum(1 << x for x in beta_set(alpha, len(alpha)))
     assert _mask_partition(mask) == alpha
+    # padded displays carry beads of zero-length parts, which decode to nothing
+    for extra in range(1, 4):
+        assert _mask_partition(_display(alpha, len(alpha) + extra)) == alpha
 
 
 @pytest.mark.parametrize("n", range(0, 13))

@@ -48,6 +48,22 @@ def test_script_refuses_negative_bound(script):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["9", "x", "5,x"])
+def test_hunt_refuses_a_bad_prime(value):
+    # exit 1 means a counterexample, so bad input must exit 2 with a usage line
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "hunt_counterexamples.py"), "--p", value],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_hunt_refuses_prime_past_cap():
     # 2^61 - 1 is prime; trial division on it would run for minutes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

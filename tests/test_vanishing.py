@@ -9,7 +9,7 @@ import pytest
 import pvanish
 from pvanish import characters, vanishing
 from pvanish.characters import character_value
-from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context
+from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context, p_adic_type_classes
 from pvanish.partitions import _beta_mask, enumerate_partitions
 from pvanish.vanishing import (
     _singular_labels,
@@ -24,9 +24,10 @@ from pvanish.vanishing import (
     list_p_vanishing,
     nonvanishing_witness,
     singular_partitions,
+    structural_classes,
     structural_split,
     suffix_reduction_check,
-    vanishing_flags,
+    vanishing_classes,
 )
 
 
@@ -121,23 +122,32 @@ def test_bruteforce_rejects_size_mismatch():
 
 @pytest.mark.parametrize("p,n", [(2, 9), (3, 8)])
 def test_flags_in_enumeration_order(p, n):
-    assert list(vanishing_flags(n, p)) == list(enumerate_partitions(n))
+    ctx = p_adic_context(n, p)
+    expected = [b for b in enumerate_partitions(n) if is_p_vanishing_bruteforce(b, ctx)]
+    assert list(vanishing_classes(n, p)) == expected
 
 
 def test_one_flag_table_per_sweep():
     # the report and the conjecture scan share one scan of (20, 7); witnesses
-    # are not memoized, and the shared table cannot be changed by a caller
+    # are not memoized, and the shared tuple cannot be changed by a caller
     pvanish.clear_caches()
     ctx = p_adic_context(20, 7)
     list_p_vanishing(ctx)
     check_conjectures(ctx)
-    info = vanishing_flags.cache_info()
+    info = vanishing_classes.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert not hasattr(nonvanishing_witness, "cache_info")
-    flags = vanishing_flags(20, 7)
-    with pytest.raises(TypeError):
-        flags[(20,)] = False
-    assert flags[(20,)] is False
+    classes = vanishing_classes(20, 7)
+    assert type(classes) is tuple
+    assert (20,) not in classes and (14, 6) in classes
+
+
+def test_sweep_keeps_no_label_table():
+    # the walk's singular-label table lives only for the walk; a clean hunt
+    # reports no class, so it never fills the shared one
+    pvanish.clear_caches()
+    assert conjecture_sweep(5, range(25)).counterexamples == []
+    assert _singular_labels.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,41 +220,60 @@ def _table_state(table):
     return table.labels, table.masks, table._groups
 
 
+def _record_walk_tables(monkeypatch):
+    """The singular-label tables built from here on, in order of construction."""
+    built = []
+
+    class Recorded(vanishing._SingularLabels):
+        __slots__ = ()
+
+        def __init__(self, n, p):
+            super().__init__(n, p)
+            built.append(self)
+
+    monkeypatch.setattr(vanishing, "_SingularLabels", Recorded)
+    return built
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_tier_flags_match_the_column_scan(p):
+def test_tier_flags_match_the_column_scan(p, monkeypatch):
     # every class through nonvanishing_witness on fresh caches, against the
     # walk; the label table the walk fills must equal the enumerated one
     for n in range(25):
         pvanish.clear_caches()
-        oracle = {beta: nonvanishing_witness(beta, p) is None for beta in enumerate_partitions(n)}
+        oracle = [beta for beta in enumerate_partitions(n) if nonvanishing_witness(beta, p) is None]
         direct = _table_state(_singular_labels(n, p))
         pvanish.clear_caches()
-        flags = vanishing_flags(n, p)
-        assert list(flags.items()) == list(oracle.items()), n
-        assert _table_state(_singular_labels(n, p)) == direct, n
+        built = _record_walk_tables(monkeypatch)
+        assert list(vanishing_classes(n, p)) == oracle, n
+        (walked,) = built
+        assert _table_state(walked) == direct, n
+        monkeypatch.undo()
 
 
 def test_flag_walk_fills_the_label_table_once(monkeypatch):
-    # flags first: the walk builds the table and the table needs no
-    # enumeration of its own; table first: the walk leaves it as it is
+    # the walk fills its own label table from its own masks, so it neither
+    # enumerates the partitions again nor fills the shared table
     pvanish.clear_caches()
+    built = _record_walk_tables(monkeypatch)
     monkeypatch.setattr(vanishing, "enumerate_partitions", None)
-    flags = vanishing_flags(18, 3)
-    table = _singular_labels(18, 3)
-    assert table.labels == [a for a in flags if is_p_singular(a, p_adic_context(18, 3))]
+    classes = vanishing_classes(18, 3)
     monkeypatch.undo()
-    pvanish.clear_caches()
-    table = _singular_labels(18, 3)
-    vanishing_flags(18, 3)
-    assert _singular_labels(18, 3) is table
+    ctx = p_adic_context(18, 3)
+    (walked,) = built
+    assert walked.labels == [a for a in enumerate_partitions(18) if is_p_singular(a, ctx)]
+    assert _singular_labels.cache_info().currsize == 0
+    assert list(classes) == [
+        b for b in enumerate_partitions(18) if is_p_vanishing_bruteforce(b, ctx)
+    ]
 
 
 def test_tiers_decide_almost_every_class():
     # the two-row and hook tiers leave 3 of the 1,575 classes of S_24 to the
     # column scan at p = 2, so the scan's memo stays small; a tier that is
-    # bypassed keeps the flags right but fills it with thousands of entries
+    # bypassed keeps the classes right but fills it with thousands of entries
     pvanish.clear_caches()
-    vanishing_flags(24, 2)
+    vanishing_classes(24, 2)
     assert characters._char.cache_info().currsize < 100
 
 
@@ -263,10 +292,10 @@ def test_classifier_disagreement_reports_witness(monkeypatch):
     # finds nonvanishing, must be reported with a witness of that
     ctx = p_adic_context(8, 2)
     beta = (1,) * 8
-    assert not vanishing_flags(8, 2)[beta]
-    real = vanishing.structural_split
+    assert beta not in vanishing_classes(8, 2)
+    real = vanishing.structural_classes
     monkeypatch.setattr(
-        vanishing, "structural_split", lambda b, c: 0 if b == beta else real(b, c)
+        vanishing, "structural_classes", lambda c: real(c) + ((beta,) if c == ctx else ())
     )
     report = list_p_vanishing(ctx)
     assert report.audits == {"structural_agreement": False}
@@ -279,10 +308,10 @@ def test_classifier_disagreement_reports_witness(monkeypatch):
 def test_missed_p_adic_type_reports_witness(monkeypatch):
     ctx = p_adic_context(10, 5)
     beta = (4, 3, 2, 1)
-    assert not vanishing_flags(10, 5)[beta]
-    real = vanishing.is_p_adic_type
+    assert beta not in vanishing_classes(10, 5)
+    real = vanishing.p_adic_type_classes
     monkeypatch.setattr(
-        vanishing, "is_p_adic_type", lambda b, c: b == beta or real(b, c)
+        vanishing, "p_adic_type_classes", lambda c: real(c) + ((beta,) if c == ctx else ())
     )
     scan = check_conjectures(ctx)
     assert scan.type_mismatches == [] and scan.sum_bound_violations == []
@@ -325,8 +354,9 @@ def test_base_table_rejects_other_primes():
 def test_structural_matches_bruteforce(p, max_n):
     for n in range(max_n + 1):
         ctx = p_adic_context(n, p)
-        for beta, ok in vanishing_flags(n, p).items():
-            assert is_p_vanishing_structural(beta, ctx) == ok, (p, n, beta)
+        vanishing = vanishing_classes(n, p)
+        for beta in enumerate_partitions(n):
+            assert is_p_vanishing_structural(beta, ctx) == (beta in vanishing), (p, n, beta)
 
 
 def test_structural_split_examples():
@@ -347,6 +377,41 @@ def test_structural_split_rejects():
         structural_split((2, 1), p_adic_context(4, 2))
 
 
+@pytest.mark.parametrize("beta", [(4, 8), (1, 2, 1, 8), (8, 4, 0), (13, -1)])
+def test_structural_split_rejects_unsorted_classes(beta):
+    # read unsorted, (4, 8) has no prefix of size 8 and would pass as None
+    with pytest.raises(ValueError):
+        structural_split(beta, p_adic_context(12, 2))
+    with pytest.raises(ValueError):
+        suffix_reduction_check(beta, p_adic_context(12, 2), 1)
+
+
+def test_structural_classifier_ignores_part_order():
+    ctx = p_adic_context(7, 2)
+    assert is_p_vanishing_structural((1, 2, 4), ctx) is True
+    assert is_p_vanishing_bruteforce((1, 2, 4), ctx) is True
+    assert is_p_vanishing_structural((4, 8), p_adic_context(12, 2)) is True
+    assert structural_split((8, 4), p_adic_context(12, 2)) == 1
+    with pytest.raises(ValueError):
+        suffix_reduction_check((1, 2, 4), ctx, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_structural_classes_match_the_split(p):
+    # built from heads and tails, they come out as the filter of the enumeration
+    for n in range(31):
+        ctx = p_adic_context(n, p)
+        expected = tuple(
+            b for b in enumerate_partitions(n) if structural_split(b, ctx) is not None
+        )
+        assert structural_classes(ctx) == expected, n
+
+
+def test_structural_classes_reject_other_primes():
+    with pytest.raises(ValueError):
+        structural_classes(p_adic_context(10, 5))
+
+
 # ---------------------------------------------------------------------------
 # structure audits
 # ---------------------------------------------------------------------------
@@ -357,9 +422,7 @@ def test_structural_split_rejects():
 def test_structure_audit_has_no_violations(n, p):
     audit = audit_vanishing_structure(p_adic_context(n, p))
     assert audit.passed, audit.violations
-    assert audit.vanishing_count == sum(
-        1 for ok in vanishing_flags(n, p).values() if ok
-    )
+    assert audit.vanishing_count == len(vanishing_classes(n, p))
     if n:
         assert audit.checked.get("large_part_sum_upper", 0) > 0
 
@@ -384,8 +447,7 @@ def test_structure_audit_json_shape():
 
 def test_min_part_exceptions_present():
     # n=4, p=2, t=2: the vanishing class (2,1,1) is the listed exception
-    flags = vanishing_flags(4, 2)
-    assert flags[(2, 1, 1)]
+    assert (2, 1, 1) in vanishing_classes(4, 2)
     audit = audit_vanishing_structure(p_adic_context(4, 2))
     assert not [v for v in audit.violations if v["predicate"] == "min_part"]
 
@@ -441,12 +503,12 @@ def test_suffix_reduction_audit_matches_per_level_checks(n, p):
 
 
 def _flip_flag(monkeypatch, n, p, beta):
-    # a scratch copy of one vanishing_flags table with one flag flipped
-    real = vanishing.vanishing_flags
-    scratch = dict(real(n, p))
-    scratch[beta] = not scratch[beta]
+    # a scratch copy of one vanishing_classes tuple with beta added or removed
+    real = vanishing.vanishing_classes
+    classes = real(n, p)
+    scratch = tuple(b for b in classes if b != beta) if beta in classes else classes + (beta,)
     monkeypatch.setattr(
-        vanishing, "vanishing_flags", lambda m, q: scratch if (m, q) == (n, p) else real(m, q)
+        vanishing, "vanishing_classes", lambda m, q: scratch if (m, q) == (n, p) else real(m, q)
     )
 
 
