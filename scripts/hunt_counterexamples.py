@@ -30,6 +30,8 @@ def main() -> int:
         primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"--p takes a comma list of integers, got {args.p!r}")
+    if not primes:
+        parser.error("--p names no prime: an empty list scans nothing")
     if any(p < 5 for p in primes):
         parser.error("conjecture scans apply to p >= 5")
     if any(p > MAX_PARTITION_SIZE for p in primes):

@@ -7,13 +7,14 @@ only 1-cycles remain, the value is the degree of the remaining label.  Labels
 are beta-set bitmasks (partitions._beta_mask) inside the recursion, and the
 memo key is (remaining label's mask, remaining cycle parts), so the cache is
 shared across queries whenever class suffixes coincide; vanishing sweeps hit
-the same suffixes over and over.  The vanishing column scan (vanishing._witness)
-calls the uncached body _char.__wrapped__ for each top-level (label, class)
-pair: a sweep evaluates that pair once, so storing it would only grow the
-table, while every deeper pair still goes through the memo.  A sweep sends
-the scan only the few classes that the closed-form tiers of
-vanishing.vanishing_classes leave, so the memo holds about 1,300 entries
-after the largest class set of a p = 7 hunt at n = 27.
+the same suffixes over and over.  The vanishing column scans
+(vanishing.vanishing_classes and vanishing.nonvanishing_witness) call the
+uncached body _char.__wrapped__ for each top-level (label, class) pair: a
+sweep evaluates that pair once, so storing it would only grow the table,
+while every deeper pair still goes through the memo.  A sweep scans only the
+few classes that the closed-form tiers of vanishing.vanishing_classes leave
+and that are not of p-adic type, so the memo holds about 1,300 entries after
+the largest class set of a p = 7 hunt at n = 27.
 
 character_table builds the table a whole column at a time, by the same rule
 run the other way (_column): the column of a class, {label mask: value} over

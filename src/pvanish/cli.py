@@ -57,7 +57,10 @@ def _capped(text: str) -> int:
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(_capped(part) for part in text.split(",") if part.strip())
+    primes = tuple(_capped(part) for part in text.split(",") if part.strip())
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no prime in {text!r}")
+    return primes
 
 
 def _emit(payload: dict, lines: list[str], as_json: bool) -> None:

@@ -2,13 +2,9 @@
 
 A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
-that, with early exit on the first witness.  It skips, without evaluating
-them, the labels alpha that the weight bound rules out: chi^alpha(beta) = 0
-when, for some q = p^t, the cycles of beta divisible by q sum to more than
-q times the q-weight of alpha (James & Kerber 1981, section 2.7).  Only the
-level where the p-singular filter finds a digit mismatch can rule a label out,
-and its weight comes free from the filter, which reads every weight off the
-label's beta mask by popcount and keeps that mask for the scan.  For p = 2
+that, scanning every p-singular label in enumeration order with early exit
+on the first witness; the p-singular filter reads each label's weights off
+its beta mask by popcount and keeps that mask for the scan.  For p = 2
 and p = 3 there is also a structural classifier: split beta into a head of
 parts >= p^r that must form a p-adic-type partition of div(r) * p^r and a
 tail that must be a p-vanishing cycle type of the remainder rem(r) < p^r,
@@ -18,14 +14,18 @@ kept independent and compared over full sweeps.
 
 Each (n, p) is classified once per process: vanishing_classes, the one memo
 of a sweep, keeps only the vanishing classes.  It walks the partitions of n
-once.  Read as labels, they fill a p-singular label table that lives only for
-the walk.  Read as classes, two closed-form tiers decide almost all of them:
-a class is nonvanishing as soon as a p-singular two-row label (Young's rule)
-or hook label (Macdonald 1995, ch. I) is nonzero on it, and both families
-come from two integer polynomials per class, packed into one int each and
-shared along the prefix that consecutive partitions have in common.  Only the
-classes that neither tier decides go to the column scan of the brute-force
-oracle, nonvanishing_witness, whose witness does not depend on the tiers.
+once.  Read as labels, they give the beta masks of the p-singular labels, a
+list that lives only for the walk.  Read as classes, two closed-form tiers
+decide almost all of them: a class is nonvanishing as soon as a p-singular
+two-row label (Young's rule) or hook label (Macdonald 1995, ch. I) is
+nonzero on it, and both families come from two integer polynomials per
+class, packed into one int each and shared along the prefix that
+consecutive partitions have in common.  Of the classes that neither tier
+decides, those of p-adic type vanish by the weight bound (chi^alpha(beta) = 0
+when, for some q = p^t, the cycles of beta divisible by q sum to more than q
+times the q-weight of alpha; James & Kerber 1981, section 2.7), and only the
+rest are scanned against the masks.  The oracle, nonvanishing_witness, scans
+every singular label and depends on neither the tiers nor that skip.
 The reports build the p-adic-type and structural classes they compare with
 directly, and rescan for a witness only a class that they report.
 
@@ -36,8 +36,7 @@ counterexamples and only ever report "none found".
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .characters import _char
 from .padic import (
@@ -83,92 +82,17 @@ _BASE_TABLE: dict[int, dict[int, frozenset[Partition]]] = {
 STRUCTURAL_LEVEL = {2: 3, 3: 2}
 
 
-class _SingularLabels:
-    """The p-singular labels of S_n in enumeration order, with masks and weights.
-
-    Filled by add, one partition at a time in enumeration order: labels[i]
-    has beta mask masks[i].  Each offered label's weights are read off its
-    mask, by the digit loop of padic.singular_weights; only a singular
-    label's mask is kept.  They read w_{p^i} = div(i) up to the level t <= k
-    where a weight digit first differs from a digit of n, and w_{p^t} < div(t)
-    there.  A class demands at most div(i) hooks at level i, so only level t
-    can prune, and the labels are grouped by the pair (t, w_{p^t}).
-    """
-
-    __slots__ = ("p", "labels", "masks", "_ctx", "_groups", "_selectors")
-
-    def __init__(self, n: int, p: int) -> None:
-        self.p = p
-        self._ctx = p_adic_context(n, p)
-        self.labels: list[Partition] = []
-        self.masks: list[int] = []
-        self._groups: dict[tuple[int, int], list[int]] = {}
-        self._selectors: dict[tuple[int, ...], bytearray] = {}
-
-    def add(self, alpha: Partition, mask: int) -> None:
-        """Keep alpha, the next partition in enumeration order, if it is p-singular."""
-        weights = _mask_singular_weights(mask, self._ctx)
-        if weights is not None:
-            self._groups.setdefault((len(weights), weights[-1]), []).append(len(self.labels))
-            self.labels.append(alpha)
-            self.masks.append(mask)
-
-    def candidates(self, cycles: Partition) -> Iterable[int]:
-        """Indices of the labels the bound leaves for this class, ascending.
-
-        The class demands d_q = sum of c/q over its cycles c divisible by
-        q = p^t.  A label with d_q > w_q for some q has value 0 on the class,
-        so a group (t, w) is kept when the demand has no level t or w covers
-        it.  The kept labels are marked in one byte selector per demand.
-        """
-        demand = []
-        q = self.p
-        divisible = [c for c in cycles if not c % q]
-        while divisible:
-            demand.append(sum(divisible) // q)
-            q *= self.p
-            divisible = [c for c in divisible if not c % q]
-        if not demand:
-            return range(len(self.labels))
-        key = tuple(demand)
-        selector = self._selectors.get(key)
-        if selector is None:
-            selector = self._selectors[key] = bytearray(len(self.labels))
-            for (t, w), idx in self._groups.items():
-                if t > len(key) or w >= key[t - 1]:
-                    for i in idx:
-                        selector[i] = 1
-        return compress(range(len(self.labels)), selector)
-
-
 @cache
-def _singular_labels(n: int, p: int) -> _SingularLabels:
-    table = _SingularLabels(n, p)
-    for alpha in enumerate_partitions(n):
-        table.add(alpha, _beta_mask(alpha))
-    return table
+def _singular_labels(n: int, p: int) -> tuple[tuple[Partition, int], ...]:
+    """(label, beta mask) for each p-singular label of S_n, in enumeration order."""
+    ctx = p_adic_context(n, p)
+    pairs = ((alpha, _beta_mask(alpha)) for alpha in enumerate_partitions(n))
+    return tuple(pair for pair in pairs if _mask_singular_weights(pair[1], ctx) is not None)
 
 
 def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
     """All labels of S_n whose character degree is divisible by p."""
-    return tuple(_singular_labels(n, p).labels)
-
-
-def _witness(table: _SingularLabels, cycles: Partition) -> tuple[Partition, int] | None:
-    """The first label of table, with its value, nonzero on the sorted class cycles.
-
-    The labels are partitions of n by construction, so the size check of
-    character_value is a tautology here.  Each top-level (label, class) pair
-    is used once, so it bypasses the memo; every deeper pair goes through
-    _char and is shared with the other columns.
-    """
-    labels, masks = table.labels, table.masks
-    uncached = _char.__wrapped__
-    for i in table.candidates(cycles):
-        value = uncached(masks[i], cycles)
-        if value:
-            return (labels[i], value)
-    return None
+    return tuple(alpha for alpha, _ in _singular_labels(n, p))
 
 
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
@@ -177,13 +101,11 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     Not memoized: sweeps read vanishing_classes, and only a reported class
     has its witness scanned for again.
 
-    The witness is the first such label in enumeration order.  Labels that
-    the weight bound rules out are skipped without evaluation: peeling the
-    cycles divisible by q = p^t first (the value does not depend on the
-    order), each c-cycle removes a hook of length c, which lowers the
-    q-weight by c/q, so chi^alpha(beta) = 0 whenever the sum of c/q over
-    those cycles exceeds the q-weight of alpha (James & Kerber 1981, 2.7).
-    A skipped label has value 0, so the witness is the same as in a full scan.
+    The witness is the first such label in enumeration order, found by a
+    plain scan of every singular label, so it does not depend on the tiers
+    or on the p-adic-type skip of vanishing_classes.  Each top-level
+    (label, class) pair is used once, so it bypasses the memo; every deeper
+    pair goes through _char and is shared with the other columns.
 
     The class is checked and sorted once per column, before any label is
     tried, so a bad class raises even when S_n has no p-singular label.
@@ -191,7 +113,12 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
     cycles = tuple(sorted(beta, reverse=True))
-    return _witness(_singular_labels(sum(beta), p), cycles)
+    uncached = _char.__wrapped__
+    for alpha, mask in _singular_labels(sum(beta), p):
+        value = uncached(mask, cycles)
+        if value:
+            return (alpha, value)
+    return None
 
 
 def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
@@ -288,30 +215,43 @@ def vanishing_classes(n: int, p: int) -> tuple[Partition, ...]:
 
     The one per-class memo of a sweep: each (n, p) is classified once per
     process, and only the vanishing classes are kept.  One walk over the
-    partitions of n does two jobs.  Read as labels, they fill the
-    singular-label table of (n, p), which is dropped when the walk is done.
+    partitions of n does two jobs.  Read as labels, it keeps the beta mask of
+    each p-singular one, in a list that is dropped when the walk is done.
     Read as classes, each is marked nonvanishing as soon as a p-singular
     two-row or hook label is nonzero on it:
       two-row  chi^(n-k,k) = c_k - c_(k-1), nonzero where c ^ (c << S) is;
       hook     h / (1 + x), exact, holds chi^(n-k,1^k) in its slot k, and it
                is nonzero where its biased slots differ from the bias.
     Two-column labels add nothing: a conjugate label has the same
-    singularity, and its value differs only in sign.  Only the classes left
-    undecided, p-adic-type classes among them, are scanned against the
-    table, after the walk; the column scans reuse each other's values
-    through the _char memo.
+    singularity, and its value differs only in sign.
+
+    A class the tiers leave undecided vanishes when it has p-adic type, with
+    no evaluation: such a class demands div(t) hooks of length q = p^t at
+    every level t <= k, and a singular label's q-weight falls below div(t)
+    at the level t <= k of its first digit mismatch, so every singular label
+    is 0 on it (James & Kerber 1981, 2.7: peel the cycles divisible by q
+    first; each c-cycle lowers the q-weight by c/q).  Any other undecided
+    class is scanned against the masks after the walk, up to the first
+    nonzero value; the column scans reuse each other's values through the
+    _char memo.
     """
     ctx = p_adic_context(n, p)
     two, hook, bias = _tier_masks(ctx)
     S = n + 2
     divisor = (1 << S) + 1
-    table = _SingularLabels(n, p)
+    masks = []
     undecided = []
     for beta, mask, c, h in _walk(n):
-        table.add(beta, mask)
+        if _mask_singular_weights(mask, ctx) is not None:
+            masks.append(mask)
         if not ((c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook):
             undecided.append(beta)
-    return tuple(beta for beta in undecided if _witness(table, beta) is None)
+    uncached = _char.__wrapped__
+    return tuple(
+        beta
+        for beta in undecided
+        if is_p_adic_type(beta, ctx) or not any(uncached(mask, beta) for mask in masks)
+    )
 
 
 @cache

@@ -213,6 +213,22 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("primes", ["", ","])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "equivalence", "--max-n", "3"),
+        ("vanishing", "--n", "5"),
+    ],
+)
+def test_empty_prime_list_exits_2(capsys, argv, primes):
+    # an empty list must not fall back to the default primes or sweep nothing
+    code, out, err = run(capsys, *argv, "--p", primes)
+    assert code == 2
+    assert "no prime" in err
+    assert out == ""
+
+
 def test_sweep_range_checked_before_sweeping(capsys):
     # the top of the range is over the limit, so not even n = 0 is classified
     pvanish.clear_caches()

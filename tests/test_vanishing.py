@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import cache
 
 import pytest
 
@@ -80,24 +81,19 @@ def test_witness_is_first_nonzero_singular_label(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_weight_bound_skips_only_zero_values(p):
-    # a label skipped for a class has a q-weight below the class's demand of
-    # q-hooks for some q = p^t, so its value there must be 0.  A class of
-    # p-adic type demands div(t) at every level t, which the last weight the
-    # filter read of each singular label falls short of, so it keeps none.
-    skipped = 0
+    # a class of p-adic type demands div(t) hooks of length p^t at every
+    # level t, which the p^t-weight of each singular label falls short of at
+    # its first digit mismatch, so vanishing_classes skips its scan: every
+    # singular label must be 0 on it
+    checked = 0
     for n in range(17):
         ctx = p_adic_context(n, p)
-        table = _singular_labels(n, p)
-        for beta in enumerate_partitions(n):
-            kept = set(table.candidates(beta))
-            assert list(table.candidates(beta)) == sorted(kept)
-            if is_p_adic_type(beta, ctx):
-                assert not kept, beta
-            for i, alpha in enumerate(table.labels):
-                if i not in kept:
-                    skipped += 1
-                    assert character_value(alpha, beta) == 0, (alpha, beta)
-    assert skipped > 0
+        labels = singular_partitions(n, p)
+        for beta in p_adic_type_classes(ctx):
+            for alpha in labels:
+                assert character_value(alpha, beta) == 0, (alpha, beta)
+                checked += 1
+    assert checked > 0
 
 
 def test_witness_scan_keeps_top_level_pairs_out_of_memo():
@@ -143,7 +139,7 @@ def test_one_flag_table_per_sweep():
 
 
 def test_sweep_keeps_no_label_table():
-    # the walk's singular-label table lives only for the walk; a clean hunt
+    # the walk's singular masks live only for the walk; a clean hunt
     # reports no class, so it never fills the shared one
     pvanish.clear_caches()
     assert conjecture_sweep(5, range(25)).counterexamples == []
@@ -216,56 +212,43 @@ def test_walk_matches_enumeration_and_masks():
         assert all(mask == _beta_mask(alpha) for alpha, mask in walked)
 
 
-def _table_state(table):
-    return table.labels, table.masks, table._groups
-
-
-def _record_walk_tables(monkeypatch):
-    """The singular-label tables built from here on, in order of construction."""
-    built = []
-
-    class Recorded(vanishing._SingularLabels):
-        __slots__ = ()
-
-        def __init__(self, n, p):
-            super().__init__(n, p)
-            built.append(self)
-
-    monkeypatch.setattr(vanishing, "_SingularLabels", Recorded)
-    return built
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_tier_flags_match_the_column_scan(p, monkeypatch):
-    # every class through nonvanishing_witness on fresh caches, against the
-    # walk; the label table the walk fills must equal the enumerated one
+def test_tier_flags_match_the_column_scan(p):
+    # every class through the unpruned nonvanishing_witness scan, against the
+    # walk's tiers, p-adic-type skip and scan, on fresh caches
     for n in range(25):
         pvanish.clear_caches()
         oracle = [beta for beta in enumerate_partitions(n) if nonvanishing_witness(beta, p) is None]
-        direct = _table_state(_singular_labels(n, p))
         pvanish.clear_caches()
-        built = _record_walk_tables(monkeypatch)
         assert list(vanishing_classes(n, p)) == oracle, n
-        (walked,) = built
-        assert _table_state(walked) == direct, n
-        monkeypatch.undo()
 
 
 def test_flag_walk_fills_the_label_table_once(monkeypatch):
-    # the walk fills its own label table from its own masks, so it neither
-    # enumerates the partitions again nor fills the shared table
+    # the walk keeps the singular masks it walks past, so it neither
+    # enumerates the partitions again nor fills the shared label table
     pvanish.clear_caches()
-    built = _record_walk_tables(monkeypatch)
     monkeypatch.setattr(vanishing, "enumerate_partitions", None)
     classes = vanishing_classes(18, 3)
     monkeypatch.undo()
     ctx = p_adic_context(18, 3)
-    (walked,) = built
-    assert walked.labels == [a for a in enumerate_partitions(18) if is_p_singular(a, ctx)]
     assert _singular_labels.cache_info().currsize == 0
     assert list(classes) == [
         b for b in enumerate_partitions(18) if is_p_vanishing_bruteforce(b, ctx)
     ]
+
+
+def _no_evaluation(mask, cycles):
+    raise AssertionError(f"evaluated {mask} on {cycles}")
+
+
+def test_p_adic_type_classes_skip_the_scan(monkeypatch):
+    # at (23, 5) the tiers leave 15 classes, all of p-adic type, so the walk
+    # decides every class without one character evaluation
+    oracle = [beta for beta in enumerate_partitions(23) if nonvanishing_witness(beta, 5) is None]
+    assert len(p_adic_type_classes(p_adic_context(23, 5))) == 15
+    pvanish.clear_caches()
+    monkeypatch.setattr(vanishing, "_char", cache(_no_evaluation))
+    assert list(vanishing_classes(23, 5)) == oracle
 
 
 def test_tiers_decide_almost_every_class():
