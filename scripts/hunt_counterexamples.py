@@ -13,38 +13,30 @@ from __future__ import annotations
 import argparse
 import sys
 
+from pvanish.cli import _parse_primes
 from pvanish.padic import p_adic_context
-from pvanish.partitions import MAX_PARTITION_SIZE
 from pvanish.vanishing import conjecture_sweep
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p", default="5,7", help='comma list of primes >= 5, e.g. "5,7,11"')
+    parser.add_argument(
+        "--p", type=_parse_primes, default="5,7", help='comma list of primes >= 5, e.g. "5,7,11"'
+    )
     parser.add_argument("--max-n", type=int, default=14, help="inclusive size bound")
     args = parser.parse_args()
     if args.max_n < 0:
         parser.error("--max-n must be >= 0: a negative bound scans nothing")
-
-    try:
-        primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"--p takes a comma list of integers, got {args.p!r}")
-    if not primes:
-        parser.error("--p names no prime: an empty list scans nothing")
-    if any(p < 5 for p in primes):
+    if any(p < 5 for p in args.p):
         parser.error("conjecture scans apply to p >= 5")
-    if any(p > MAX_PARTITION_SIZE for p in primes):
-        # trial division alone would run for minutes at p near 2^61
-        parser.error(f"primes are capped at {MAX_PARTITION_SIZE}")
-    for p in primes:
+    for p in args.p:
         try:
             p_adic_context(0, p)  # the prime check every sweep makes
         except ValueError as exc:
             parser.error(str(exc))
 
     found = 0
-    for p in primes:
+    for p in args.p:
         sweep = conjecture_sweep(p, range(args.max_n + 1), limit=args.max_n)
         print(sweep.summary())
         for item in sweep.counterexamples:

@@ -33,7 +33,6 @@ from .padic import (
     p_adic_context,
     p_adic_type_witness,
     p_power_partition,
-    singular_weights,
     valuation,
     weight_digit,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "r_decompose",
     "r_weight",
     "removable_hooks",
-    "singular_weights",
     "structural_split",
     "suffix_reduction_check",
     "valuation",

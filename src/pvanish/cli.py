@@ -52,7 +52,7 @@ def _capped(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value > MAX_PARTITION_SIZE:
-        raise argparse.ArgumentTypeError(f"{value} is over the cap of {MAX_PARTITION_SIZE}")
+        raise argparse.ArgumentTypeError(f"values are capped at {MAX_PARTITION_SIZE}, got {value}")
     return value
 
 
@@ -60,6 +60,8 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     primes = tuple(_capped(part) for part in text.split(",") if part.strip())
     if not primes:
         raise argparse.ArgumentTypeError(f"no prime in {text!r}")
+    if len(set(primes)) < len(primes):
+        raise argparse.ArgumentTypeError(f"a prime is repeated in {text!r}")
     return primes
 
 

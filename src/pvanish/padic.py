@@ -5,6 +5,9 @@ at position t gives n = div(t) * p^t + rem(t).  The canonical partition of
 p-adic type is the one with a_i parts equal to p^i for every i; a general
 partition has p-adic type when, for every i, its parts of exact p-valuation
 i sum to a_i p^i.
+
+Each digit test has one loop: _mask_singular for p-singularity, and
+_type_level for p-adic type and the suffix-reduction levels.
 """
 
 from __future__ import annotations
@@ -128,25 +131,31 @@ def p_adic_type_witness(alpha: Partition, ctx: PAdicContext) -> PAdicTypeWitness
     )
 
 
+def _type_level(beta: Partition, ctx: PAdicContext) -> int:
+    """The least m with the parts divisible by p^t summing to div(t) p^t for m <= t <= k.
+
+    The levels are walked from k down to the first that fails.  It is 0 exactly
+    for p-adic type: the parts of valuation i sum to div(i) p^i - div(i+1) p^(i+1).
+    """
+    p = ctx.p
+    m = ctx.k + 1
+    while m:
+        q = p ** (m - 1)
+        if sum(c for c in beta if not c % q) != ctx.div(m - 1) * q:
+            break
+        m -= 1
+    return m
+
+
 def is_p_adic_type(alpha: Partition, ctx: PAdicContext) -> bool:
     """Whether the parts of exact p-valuation i sum to a_i p^i for every i.
 
-    A digit-sum loop that exits at the first level that fails; the parts left
-    after the top digit sum to 0, so none has valuation above k.
-    p_adic_type_witness gives the same answer with every level's groups.
+    The level-0 case of _type_level; p_adic_type_witness gives the same
+    answer with every level's groups.
     """
     if sum(alpha) != ctx.n:
         raise ValueError(f"{alpha} is not a partition of {ctx.n}")
-    p = ctx.p
-    q = 1
-    rest = alpha  # the parts divisible by q = p^i
-    for a in ctx.digits:
-        up = q * p
-        if sum(c for c in rest if c % up) != a * q:
-            return False
-        rest = [c for c in rest if not c % up]
-        q = up
-    return True
+    return not _type_level(alpha, ctx)
 
 
 def p_adic_type_classes(ctx: PAdicContext) -> tuple[Partition, ...]:
@@ -198,32 +207,21 @@ def degree_valuation(alpha: Partition, p: int) -> int:
     return v_fact - sum(valuation(h, p) for row in hook_lengths(alpha) for h in row)
 
 
-def _mask_singular_weights(mask: int, ctx: PAdicContext) -> tuple[int, ...] | None:
-    """singular_weights of the partition of ctx.n with this beta mask."""
+def _mask_singular(mask: int, ctx: PAdicContext) -> bool:
+    """Whether the partition of ctx.n with this beta mask is p-singular.
+
+    Its weight digits are read off the mask up to the first that differs from a_i.
+    """
     p = ctx.p
-    weights = []
     upper = ctx.n  # the 1-weight
     q = p
     for a in ctx.digits:
         lower = _mask_weight(mask, q)
-        weights.append(lower)
         if upper - p * lower != a:
-            return tuple(weights)
+            return True
         upper = lower
         q *= p
-    return None
-
-
-def singular_weights(alpha: Partition, ctx: PAdicContext) -> tuple[int, ...] | None:
-    """The p^i-weights the b_invariants test reads, or None if alpha is not p-singular.
-
-    weight_digit(alpha, p, i) is compared with a_i for i = 0, 1, ... and the
-    test stops at the first i that differs, having read the p-, p^2-, ...,
-    p^(i+1)-weights; those are returned in that order.  alpha must be a
-    partition of ctx.n.  No digit differs exactly when the degree is prime to
-    p, and then the result is None.  The weights are read off one beta mask.
-    """
-    return _mask_singular_weights(_beta_mask(alpha), ctx)
+    return False
 
 
 SINGULARITY_METHODS = ("b_invariants", "hooks", "character", "degree")
@@ -233,7 +231,8 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     """Whether p divides the degree of the character indexed by alpha.
 
     Four equivalent tests are available:
-      b_invariants  some weight digit differs from the matching digit of n
+      b_invariants  some weight digit differs from the matching digit of n,
+                    read off the beta mask by the sweep's filter, _mask_singular
       hooks         the digit hook sequence cannot be removed
       character     the character vanishes on the canonical p-adic class
       degree        p divides the degree (via valuations, no big integers)
@@ -241,7 +240,7 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     if sum(alpha) != ctx.n:
         raise ValueError(f"{alpha} is not a partition of {ctx.n}")
     if method == "b_invariants":
-        return singular_weights(alpha, ctx) is not None
+        return _mask_singular(_beta_mask(alpha), ctx)
     if method == "hooks":
         return is_blocked_at_level(alpha, ctx, 0)
     if method == "character":

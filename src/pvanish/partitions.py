@@ -400,13 +400,12 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         if i < 0:
             return
         part[i] -= 1
-        rem = len(part) - i
-        del part[i + 1 :]
         cap = part[i]
-        while rem > 0:
-            take = min(cap, rem)
-            part.append(take)
-            rem -= take
+        full, rest = divmod(len(part) - i, cap)
+        del part[i + 1 :]
+        part += [cap] * full
+        if rest:
+            part.append(rest)
 
 
 def clear_caches() -> None:

@@ -3,14 +3,15 @@
 A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
 that, scanning every p-singular label in enumeration order with early exit
-on the first witness; the p-singular filter reads each label's weights off
-its beta mask by popcount and keeps that mask for the scan.  For p = 2
-and p = 3 there is also a structural classifier: split beta into a head of
-parts >= p^r that must form a p-adic-type partition of div(r) * p^r and a
-tail that must be a p-vanishing cycle type of the remainder rem(r) < p^r,
-where r = 3 for p = 2 and r = 2 for p = 3.  The tail lands below p^r, so a
-fixed table of small cases closes the recursion.  The two classifiers are
-kept independent and compared over full sweeps.
+on the first witness; the p-singular filter, padic._mask_singular, reads
+each label's weight digits off its beta mask by popcount and the mask is
+kept for the scan.  For p = 2 and p = 3 there is also a structural
+classifier: split beta into a head of parts >= p^r that must form a
+p-adic-type partition of div(r) * p^r and a tail that must be a p-vanishing
+cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2 and r = 2
+for p = 3.  The tail lands below p^r, so a fixed table of small cases closes
+the recursion.  The two classifiers are kept independent and compared over
+full sweeps.
 
 Each (n, p) is classified once per process: vanishing_classes, the one memo
 of a sweep, keeps only the vanishing classes.  It walks the partitions of n
@@ -41,7 +42,8 @@ from typing import Iterator, NamedTuple
 from .characters import _char
 from .padic import (
     PAdicContext,
-    _mask_singular_weights,
+    _mask_singular,
+    _type_level,
     is_p_adic_type,
     p_adic_context,
     p_adic_type_classes,
@@ -87,7 +89,7 @@ def _singular_labels(n: int, p: int) -> tuple[tuple[Partition, int], ...]:
     """(label, beta mask) for each p-singular label of S_n, in enumeration order."""
     ctx = p_adic_context(n, p)
     pairs = ((alpha, _beta_mask(alpha)) for alpha in enumerate_partitions(n))
-    return tuple(pair for pair in pairs if _mask_singular_weights(pair[1], ctx) is not None)
+    return tuple(pair for pair in pairs if _mask_singular(pair[1], ctx))
 
 
 def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
@@ -200,10 +202,10 @@ def _tier_masks(ctx: PAdicContext) -> tuple[int, int, int]:
     two = hook = bias = 0
     for k in range(n // 2 + 1):
         label = tuple(x for x in (n - k, k) if x)
-        if _mask_singular_weights(_beta_mask(label), ctx) is not None:
+        if _mask_singular(_beta_mask(label), ctx):
             two |= full << (S * k)
     for k in range(n):
-        if _mask_singular_weights(_beta_mask((n - k,) + (1,) * k), ctx) is not None:
+        if _mask_singular(_beta_mask((n - k,) + (1,) * k), ctx):
             hook |= full << (S * k)
         bias |= 1 << (S * k + S - 1)
     return two, hook, bias
@@ -242,7 +244,7 @@ def vanishing_classes(n: int, p: int) -> tuple[Partition, ...]:
     masks = []
     undecided = []
     for beta, mask, c, h in _walk(n):
-        if _mask_singular_weights(mask, ctx) is not None:
+        if _mask_singular(mask, ctx):
             masks.append(mask)
         if not ((c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook):
             undecided.append(beta)
@@ -356,22 +358,6 @@ def _check_min_part(beta: Partition, p: int, t: int) -> bool:
     return len(beta) >= 4 and beta[-3:] == (2, 1, 1) and beta[-4] >= 4
 
 
-def _lowest_suffix_level(beta: Partition, ctx: PAdicContext) -> int:
-    """The least m at which suffix_reduction_check applies to beta.
-
-    Walks the levels t = k, k - 1, ... down and stops at the first whose parts
-    divisible by p^t do not sum to div(t) * p^t; every m above it applies.
-    """
-    p = ctx.p
-    m = ctx.k + 1
-    while m:
-        q = p ** (m - 1)
-        if sum(c for c in beta if not c % q) != ctx.div(m - 1) * q:
-            break
-        m -= 1
-    return m
-
-
 def _suffix_reduction_holds(beta: Partition, p: int, m: int, whole: bool) -> bool:
     """Whether beta's parts below p^m share beta's vanishing flag, whole."""
     q = p**m
@@ -394,7 +380,7 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
     _check_class(beta, ctx)
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    if m < _lowest_suffix_level(beta, ctx):
+    if m < _type_level(beta, ctx):
         return None
     return _suffix_reduction_holds(beta, ctx.p, m, beta in vanishing_classes(ctx.n, ctx.p))
 
@@ -514,7 +500,7 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
     applicable = 0
     vanishing_set = set(vanishing)
     for beta in enumerate_partitions(n):
-        low = _lowest_suffix_level(beta, ctx)
+        low = _type_level(beta, ctx)
         applicable += k + 2 - low
         whole = beta in vanishing_set
         for m in range(low, k + 2):

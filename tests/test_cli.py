@@ -205,6 +205,8 @@ def test_vanishing_deterministic(capsys):
         ("compose", "--core", "0", "--quotient", "(0)", "--r", "100000"),
         ("core", "--alpha", "1", "--r", "100000"),
         ("quotient", "--alpha", "1", "--r", "100000"),
+        ("verify", "--suite", "equivalence", "--p", "2,2", "--max-n", "3"),  # repeated prime
+        ("verify", "--suite", "conjectures", "--p", "5,5", "--max-n", "4"),  # repeated prime
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -10,6 +10,7 @@ from naive import naive_hook_weight, naive_weight
 from pvanish.characters import degree
 from pvanish.padic import (
     SINGULARITY_METHODS,
+    _mask_singular,
     digit_hook_lengths,
     is_blocked_at_level,
     is_p_adic_type,
@@ -18,11 +19,10 @@ from pvanish.padic import (
     p_adic_type_classes,
     p_adic_type_witness,
     p_power_partition,
-    singular_weights,
     valuation,
     weight_digit,
 )
-from pvanish.partitions import enumerate_partitions, r_weight
+from pvanish.partitions import _beta_mask, enumerate_partitions, r_weight
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,8 @@ def test_singular_weights_match_naive_weights(n):
         for alpha in enumerate_partitions(n):
             expected = _filter_prefix(alpha, ctx, naive_weight)
             assert _filter_prefix(alpha, ctx, naive_hook_weight) == expected
-            assert singular_weights(alpha, ctx) == expected
+            assert _filter_prefix(alpha, ctx, r_weight) == expected
+            assert _mask_singular(_beta_mask(alpha), ctx) == (expected is not None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -177,7 +178,8 @@ def test_singular_weights_are_the_filter_prefix(p):
     for n in range(15):
         ctx = p_adic_context(n, p)
         for alpha in enumerate_partitions(n):
-            weights = singular_weights(alpha, ctx)
+            weights = _filter_prefix(alpha, ctx, naive_weight)
+            assert _mask_singular(_beta_mask(alpha), ctx) == (weights is not None)
             assert (weights is not None) == is_p_singular(alpha, ctx, method="degree")
             if weights is None:
                 continue
@@ -187,7 +189,7 @@ def test_singular_weights_are_the_filter_prefix(p):
             assert [weight_digit(alpha, p, i) for i in range(j)] == list(ctx.digits[:j])
             assert weight_digit(alpha, p, j) != ctx.digit(j)
             # so the weights read div(1), ..., div(t - 1) and fall short at
-            # level t <= k: the (t, w) key of the vanishing column scan
+            # level t <= k: the p-adic-type skip of vanishing_classes rests on it
             t = len(weights)
             assert list(weights[:-1]) == [ctx.div(i) for i in range(1, t)]
             assert weights[-1] < ctx.div(t)

@@ -48,7 +48,7 @@ def test_script_refuses_negative_bound(script):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("value", ["9", "x", "5,x", "", ","])
+@pytest.mark.parametrize("value", ["9", "x", "5,x", "", ",", "5,5"])
 def test_hunt_refuses_a_bad_prime(value):
     # exit 1 means a counterexample, so bad input must exit 2 with a usage line
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
