@@ -4,7 +4,7 @@ A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
 that, scanning every p-singular label in enumeration order with early exit
 on the first witness; the p-singular filter, padic._mask_singular, reads
-each label's weight digits off its beta mask by popcount and the mask is
+each label's weight digits off its beta mask by popcount; the mask is
 kept for the scan.  For p = 2 and p = 3 there is also a structural
 classifier: split beta into a head of parts >= p^r that must form a
 p-adic-type partition of div(r) * p^r and a tail that must be a p-vanishing
