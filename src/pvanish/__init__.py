@@ -17,8 +17,6 @@ from .characters import (
     character_table,
     character_value,
     degree,
-    factored_character_value,
-    induced_character_value,
     merged_cycle_type,
     multi_character_value,
 )
@@ -37,23 +35,18 @@ from .padic import (
     weight_digit,
 )
 from .partitions import (
-    HookRemoval,
     Partition,
     RDecomposition,
     as_partition,
-    beta_set,
     can_remove_sequence,
     conjugate,
     enumerate_partitions,
     format_partition,
-    from_beta_set,
     from_core_and_quotient,
-    hook_length,
     hook_lengths,
     parse_partition,
     r_decompose,
     r_weight,
-    removable_hooks,
 )
 from .vanishing import (
     ConjectureScan,
@@ -65,7 +58,6 @@ from .vanishing import (
     base_vanishing_table,
     check_conjectures,
     conjecture_sweep,
-    is_p_vanishing_bruteforce,
     is_p_vanishing_structural,
     list_p_vanishing,
     structural_split,
@@ -88,7 +80,6 @@ __all__ = [
     "CharacterTable",
     "ConjectureScan",
     "ConjectureSweep",
-    "HookRemoval",
     "PAdicContext",
     "Partition",
     "RDecomposition",
@@ -99,7 +90,6 @@ __all__ = [
     "as_partition",
     "audit_vanishing_structure",
     "base_vanishing_table",
-    "beta_set",
     "can_remove_sequence",
     "centralizer_order",
     "character_table",
@@ -112,17 +102,12 @@ __all__ = [
     "degree_valuation",
     "digit_hook_lengths",
     "enumerate_partitions",
-    "factored_character_value",
     "format_partition",
-    "from_beta_set",
     "from_core_and_quotient",
-    "hook_length",
     "hook_lengths",
-    "induced_character_value",
     "is_blocked_at_level",
     "is_p_adic_type",
     "is_p_singular",
-    "is_p_vanishing_bruteforce",
     "is_p_vanishing_structural",
     "list_p_vanishing",
     "merged_cycle_type",
@@ -133,7 +118,6 @@ __all__ = [
     "parse_partition",
     "r_decompose",
     "r_weight",
-    "removable_hooks",
     "structural_split",
     "suffix_reduction_check",
     "valuation",

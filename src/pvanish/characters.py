@@ -8,10 +8,11 @@ are beta-set bitmasks (partitions._beta_mask) inside the recursion, and the
 memo key is (remaining label's mask, remaining cycle parts), so the cache is
 shared across queries whenever class suffixes coincide; vanishing sweeps hit
 the same suffixes over and over.  The vanishing column scans
-(vanishing.vanishing_classes and vanishing.nonvanishing_witness) call the
-uncached body _char.__wrapped__ for each top-level (label, class) pair: a
-sweep evaluates that pair once, so storing it would only grow the table,
-while every deeper pair still goes through the memo.  A sweep scans only the
+(vanishing.vanishing_classes and vanishing.nonvanishing_witness) keep the
+singular labels as bare masks and call the uncached body _char.__wrapped__
+for each top-level (label mask, class) pair: a sweep evaluates that pair
+once, so storing it would only grow the table, while every deeper pair
+still goes through the memo.  A sweep scans only the
 few classes that the closed-form tiers of vanishing.vanishing_classes leave
 and that are not of p-adic type, so the memo holds about 1,300 entries after
 the largest class set of a p = 7 hunt at n = 27.
@@ -24,7 +25,9 @@ its largest cycle k by adding every addable k-hook to each of its labels
 there is no early exit to lose, and the cells that are 0 (36% for n <= 14)
 are never stored; columns are memoized by class, and the column of a class
 is shared by every class that ends in it.  The direct side of
-verify.factorization_suite reads the same columns.
+verify.factorization_suite reads the same columns.  A table past n =
+TABLE_GUARD, the largest default bound of the verify suites that build
+tables, is refused, and no caller can raise the guard.
 
 multi_character_value extends the recursion to tuples of labels, where each
 cycle part may be peeled from any component.  The recursion is symmetric in
@@ -57,10 +60,9 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     hook_lengths,
-    r_decompose,
 )
 
-TABLE_GUARD = 14
+TABLE_GUARD = 16
 
 
 @cache
@@ -180,40 +182,6 @@ def _multiplicity_factorials(beta: Partition) -> int:
     return out
 
 
-def induced_character_value(labels: tuple[Partition, ...], beta: Partition) -> int:
-    """Same quantity as multi_character_value, by the induction formula.
-
-    Looks beta up in induced_character_values(labels), which builds the
-    whole induced column; a class missing from it has value 0.
-    """
-    if sum(sum(l) for l in labels) != sum(beta):
-        raise ValueError(f"label tuple {labels} and class {beta} have different sizes")
-    if any(c < 1 for c in beta):
-        raise ValueError(f"cycle type parts must be positive: {beta}")
-    return induced_character_values(labels).get(tuple(sorted(beta, reverse=True)), 0)
-
-
-def factored_character_value(
-    alpha: Partition, r: int, gamma: Partition, lam: Partition
-) -> int:
-    """r-sign times core value on lam times quotient value on gamma.
-
-    Equals character_value(alpha, merged) where merged is the cycle type
-    made of the parts of lam together with r times each part of gamma;
-    gamma must be a partition of the r-weight of alpha.
-    """
-    dec = r_decompose(alpha, r)
-    if sum(gamma) != dec.weight:
-        raise ValueError(f"{gamma} is not a partition of the {r}-weight {dec.weight}")
-    if sum(lam) != sum(alpha) - r * dec.weight:
-        raise ValueError(f"{lam} does not have size {sum(alpha) - r * dec.weight}")
-    return (
-        dec.sign
-        * character_value(dec.core, lam)
-        * multi_character_value(dec.quotient, gamma)
-    )
-
-
 def merged_cycle_type(r: int, gamma: Partition, lam: Partition) -> Partition:
     """Cycle type with one r*g cycle per part g of gamma plus the parts of lam."""
     return tuple(sorted([r * g for g in gamma] + list(lam), reverse=True))
@@ -269,14 +237,14 @@ def _column(cycles: tuple[int, ...]) -> dict[int, int]:
     return {mask: value for mask, value in column.items() if value}
 
 
-def character_table(n: int, *, limit: int = TABLE_GUARD) -> CharacterTable:
-    """Character table of S_n; guarded because the size grows like p(n)^2.
+def character_table(n: int) -> CharacterTable:
+    """Character table of S_n; refused past TABLE_GUARD, as the size grows like p(n)^2.
 
     The classes come from enumerate_partitions, so they are already sorted
     and of the right size; each cell is read from its class's _column.
     """
-    if n > limit:
-        raise ValueError(f"table for n={n} exceeds the guard ({limit}); raise limit= to override")
+    if n > TABLE_GUARD:
+        raise ValueError(f"table for n={n} exceeds the guard ({TABLE_GUARD})")
     labels = tuple(enumerate_partitions(n))
     columns = list(map(_column, labels))
     values = tuple(

@@ -20,7 +20,6 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
-BetaSet = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -92,17 +91,6 @@ def conjugate(alpha: Partition) -> Partition:
     return tuple(cols)
 
 
-def hook_length(alpha: Partition, i: int, j: int) -> int:
-    """Hook length at the 1-indexed node (i, j): arm + leg + 1.
-
-    Raises ValueError when (i, j) lies outside the diagram.
-    """
-    if i < 1 or i > len(alpha) or j < 1 or j > alpha[i - 1]:
-        raise ValueError(f"node ({i},{j}) outside diagram of {alpha}")
-    col = sum(1 for c in alpha if c >= j)
-    return (alpha[i - 1] - j) + (col - i) + 1
-
-
 def hook_lengths(alpha: Partition) -> list[list[int]]:
     """All hook lengths, one list per row."""
     conj = conjugate(alpha)
@@ -110,44 +98,6 @@ def hook_lengths(alpha: Partition) -> list[list[int]]:
         [(alpha[i] - j - 1) + (conj[j] - i - 1) + 1 for j in range(alpha[i])]
         for i in range(len(alpha))
     ]
-
-
-def beta_set(alpha: Partition, size: int) -> BetaSet:
-    """First-column hook lengths displayed at the given size.
-
-    The beta-set of display size m is {alpha_i + m - i : 1 <= i <= m}
-    with missing parts read as 0; it is strictly decreasing.
-    """
-    if size < len(alpha):
-        raise ValueError(f"display size {size} below part count of {alpha}")
-    padded = alpha + (0,) * (size - len(alpha))
-    return tuple(padded[i] + size - 1 - i for i in range(size))
-
-
-def from_beta_set(beta: Iterable[int]) -> Partition:
-    """Recover the partition from a set of distinct non-negative integers."""
-    elems = sorted(beta, reverse=True)
-    if any(x < 0 for x in elems):
-        raise ValueError(f"beta-set elements must be non-negative: {elems}")
-    if len(set(elems)) != len(elems):
-        raise ValueError(f"beta-set elements must be distinct: {elems}")
-    m = len(elems)
-    parts = tuple(x - (m - 1 - i) for i, x in enumerate(elems))
-    return tuple(c for c in parts if c > 0)
-
-
-class HookRemoval(NamedTuple):
-    """One way of removing a rim hook of a given length.
-
-    row/col locate the hook's corner node (1-indexed), leg is the leg
-    length of the removed rim hook, result the remaining partition.
-    """
-
-    row: int
-    col: int
-    length: int
-    leg: int
-    result: Partition
 
 
 def _beta_mask(alpha: Partition) -> int:
@@ -227,32 +177,6 @@ def _rim_additions(mask: int, k: int) -> Iterator[tuple[int, int]]:
         new = padded ^ (ends << x)
         leg = ((padded >> (x + 1)) & between).bit_count()
         yield leg, new >> ((~new & (new + 1)).bit_length() - 1)
-
-
-def removable_hooks(alpha: Partition, length: int) -> list[HookRemoval]:
-    """All removals of a rim hook of the given length, by origin row ascending.
-
-    A row holds at most one hook of each length, so the origin column is
-    determined; row and column are read off the bead and the gap it drops to.
-    """
-    if length < 1:
-        return []
-    mask = _beta_mask(alpha)
-    out = []
-    for leg, new in _rim_moves(mask, length):
-        # the gap y the bead drops to: only y = 0 shifts the mask, losing beads
-        diff = mask ^ new
-        y = (diff & -diff).bit_length() - 1 if new.bit_count() == mask.bit_count() else 0
-        out.append(
-            HookRemoval(
-                row=1 + (mask >> (y + length + 1)).bit_count(),
-                col=y + 1 - (mask & ((1 << y) - 1)).bit_count(),
-                length=length,
-                leg=leg,
-                result=_mask_partition(new),
-            )
-        )
-    return out
 
 
 @cache

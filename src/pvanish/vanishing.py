@@ -4,13 +4,13 @@ A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
 that, scanning every p-singular label in enumeration order with early exit
 on the first witness; the p-singular filter, padic._mask_singular, reads
-each label's weight digits off its beta mask by popcount; the mask is
-kept for the scan.  For p = 2 and p = 3 there is also a structural
-classifier: split beta into a head of parts >= p^r that must form a
-p-adic-type partition of div(r) * p^r and a tail that must be a p-vanishing
-cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2 and r = 2
-for p = 3.  The tail lands below p^r, so a fixed table of small cases closes
-the recursion.  The two classifiers are kept independent and compared over
+each label's weight digits off its beta mask by popcount, and the scan
+keeps only the masks, never the partitions.  For p = 2 and p = 3 there is
+also a structural classifier: split beta into a head of parts >= p^r that
+must form a p-adic-type partition of div(r) * p^r and a tail that must be a
+p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
+and r = 2 for p = 3.  The tail lands below p^r, so a fixed table of small
+cases closes the recursion.  The two classifiers are kept independent and compared over
 full sweeps.
 
 Each (n, p) is classified once per process: vanishing_classes, the one memo
@@ -48,7 +48,7 @@ from .padic import (
     p_adic_context,
     p_adic_type_classes,
 )
-from .partitions import Partition, _beta_mask, enumerate_partitions
+from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions
 
 DEFAULT_SWEEP_LIMIT = 30
 
@@ -85,16 +85,11 @@ STRUCTURAL_LEVEL = {2: 3, 3: 2}
 
 
 @cache
-def _singular_labels(n: int, p: int) -> tuple[tuple[Partition, int], ...]:
-    """(label, beta mask) for each p-singular label of S_n, in enumeration order."""
+def _singular_masks(n: int, p: int) -> tuple[int, ...]:
+    """The beta mask of each p-singular label of S_n, in enumeration order."""
     ctx = p_adic_context(n, p)
-    pairs = ((alpha, _beta_mask(alpha)) for alpha in enumerate_partitions(n))
-    return tuple(pair for pair in pairs if _mask_singular(pair[1], ctx))
-
-
-def singular_partitions(n: int, p: int) -> tuple[Partition, ...]:
-    """All labels of S_n whose character degree is divisible by p."""
-    return tuple(alpha for alpha, _ in _singular_labels(n, p))
+    masks = map(_beta_mask, enumerate_partitions(n))
+    return tuple(mask for mask in masks if _mask_singular(mask, ctx))
 
 
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
@@ -105,9 +100,11 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
 
     The witness is the first such label in enumeration order, found by a
     plain scan of every singular label, so it does not depend on the tiers
-    or on the p-adic-type skip of vanishing_classes.  Each top-level
-    (label, class) pair is used once, so it bypasses the memo; every deeper
-    pair goes through _char and is shared with the other columns.
+    or on the p-adic-type skip of vanishing_classes.  The scan reads bare
+    masks (_singular_masks keeps no partitions), and only the witness's
+    mask is turned back into a partition.  Each top-level (label, class)
+    pair is used once, so it bypasses the memo; every deeper pair goes
+    through _char and is shared with the other columns.
 
     The class is checked and sorted once per column, before any label is
     tried, so a bad class raises even when S_n has no p-singular label.
@@ -116,17 +113,11 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
         raise ValueError(f"cycle type parts must be positive: {beta}")
     cycles = tuple(sorted(beta, reverse=True))
     uncached = _char.__wrapped__
-    for alpha, mask in _singular_labels(sum(beta), p):
+    for mask in _singular_masks(sum(beta), p):
         value = uncached(mask, cycles)
         if value:
-            return (alpha, value)
+            return (_mask_partition(mask), value)
     return None
-
-
-def is_p_vanishing_bruteforce(beta: Partition, ctx: PAdicContext) -> bool:
-    if sum(beta) != ctx.n:
-        raise ValueError(f"{beta} is not a partition of {ctx.n}")
-    return nonvanishing_witness(beta, ctx.p) is None
 
 
 def _walk(n: int) -> Iterator[tuple[Partition, int, int, int]]:
@@ -710,6 +701,6 @@ def conjecture_sweep(
 
 def clear_caches() -> None:
     """Drop the sweep-level memo tables."""
-    _singular_labels.cache_clear()
+    _singular_masks.cache_clear()
     vanishing_classes.cache_clear()
     base_vanishing_table.cache_clear()

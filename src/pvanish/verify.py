@@ -137,7 +137,7 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
     """
     res = SuiteResult("orthogonality")
     for n in range(max_n + 1):
-        table = character_table(n, limit=max_n)
+        table = character_table(n)
         labels, rows = table.labels, table.values
         order = factorial(n)
         sizes = [order // centralizer_order(b) for b in labels]
@@ -193,7 +193,7 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
     """
     res = SuiteResult("conjugation-twist")
     for n in range(max_n + 1):
-        table = character_table(n, limit=max_n)
+        table = character_table(n)
         labels, rows = table.labels, table.values
         row_of = dict(zip(labels, rows))
         signs = [(-1) ** (n - len(beta)) for beta in labels]

@@ -30,8 +30,6 @@ from pvanish.characters import (
     character_table,
     character_value,
     degree,
-    factored_character_value,
-    induced_character_value,
     induced_character_values,
     merged_cycle_type,
     multi_character_value,
@@ -43,9 +41,9 @@ from pvanish.partitions import (
     conjugate,
     enumerate_partitions,
     r_decompose,
-    removable_hooks,
+    r_weight,
 )
-from pvanish.vanishing import list_p_vanishing, singular_partitions
+from pvanish.vanishing import list_p_vanishing, nonvanishing_witness
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -140,7 +138,7 @@ def test_value_rejects():
     "fn,args",
     [
         (character_value, ((1, 2), (3,))),  # (2, 1) gives -1, not 0
-        (removable_hooks, ((1, 2), 1)),  # (2, 1) has two removals
+        (r_weight, ((1, 2), 2)),  # (2, 1) has one 2-hook
         (can_remove_sequence, ((1, 3), (4,))),  # (3, 1) is strippable
         (character_value, ((3, 0), (3,))),  # would set a bead at bit 0
         (multi_character_value, (((1, 2),), (3,))),
@@ -207,9 +205,9 @@ def test_conjugation_twist_suite_small():
     assert result.passed and result.checks > 0
 
 
-def _flipped_table(n, *, limit):
+def _flipped_table(n):
     """character_table, except that at n = 4 the value of (3,1) on the identity, 3, is -3."""
-    table = character_table(n, limit=limit)
+    table = character_table(n)
     if n != 4:
         return table
     values = [list(row) for row in table.values]
@@ -322,15 +320,19 @@ def test_factorization_suite_small():
     assert result.passed and result.checks > 0
 
 
+def _factored_value(alpha, r, gamma, lam):
+    """r-sign times core value on lam times quotient value on gamma, by the public functions."""
+    dec = r_decompose(alpha, r)
+    return dec.sign * character_value(dec.core, lam) * multi_character_value(dec.quotient, gamma)
+
+
 def test_factorization_example_by_hand():
     alpha = (3, 3, 2)
     dec = r_decompose(alpha, 2)
     for gamma in enumerate_partitions(dec.weight):
         for lam in enumerate_partitions(8 - 2 * dec.weight):
             merged = merged_cycle_type(2, gamma, lam)
-            assert factored_character_value(alpha, 2, gamma, lam) == character_value(
-                alpha, merged
-            )
+            assert _factored_value(alpha, 2, gamma, lam) == character_value(alpha, merged)
 
 
 def test_factorization_suite_flags_wrong_sign(monkeypatch):
@@ -370,7 +372,7 @@ def _factorization_cases(draw):
 @given(_factorization_cases())
 def test_factored_value_is_the_value_on_the_merged_class(case):
     alpha, r, gamma, lam = case
-    assert factored_character_value(alpha, r, gamma, lam) == character_value(
+    assert _factored_value(alpha, r, gamma, lam) == character_value(
         alpha, merged_cycle_type(r, gamma, lam)
     )
 
@@ -378,14 +380,6 @@ def test_factored_value_is_the_value_on_the_merged_class(case):
 def test_merged_cycle_type():
     assert merged_cycle_type(2, (2, 1), (3, 1)) == (4, 3, 2, 1)
     assert merged_cycle_type(3, (), (1, 1)) == (1, 1)
-
-
-def test_factored_value_rejects():
-    # (3,3,2) has 2-weight 4 and empty 2-core
-    with pytest.raises(ValueError):
-        factored_character_value((3, 3, 2), 2, (3,), ())  # gamma not of weight
-    with pytest.raises(ValueError):
-        factored_character_value((3, 3, 2), 2, (4,), (1,))  # lam wrong size
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +406,12 @@ def test_empty_components_are_inert(pair):
 
 def test_empty_tuple_on_empty_class():
     assert multi_character_value((), ()) == 1
-    assert induced_character_value((), ()) == 1
+    assert induced_character_values(()).get((), 0) == 1
 
 
 def test_multi_value_rejects_size_mismatch():
     with pytest.raises(ValueError):
         multi_character_value(((2,), (1,)), (2,))
-    with pytest.raises(ValueError):
-        induced_character_value(((2,), (1,)), (2,))
 
 
 @pytest.mark.parametrize("components", [1, 2, 3])
@@ -438,7 +430,7 @@ def test_induced_column_matches_naive_oracle(components):
                     assert multi_character_value(labels, lam) == expected, (labels, lam)
 
 
-@pytest.mark.parametrize("fn", [induced_character_value, multi_character_value])
+@pytest.mark.parametrize("fn", [multi_character_value])
 @pytest.mark.parametrize(
     "labels,beta",
     [(((2,), (1,)), (3, 0)), (((1,),), (2, -1)), (((1, 1),), (2, 0))],
@@ -484,9 +476,10 @@ def test_multi_on_a_non_canonical_key_matches_the_canonical_key():
 
 def test_induced_value_known():
     # two trivial components: value counts the splittings of the class
-    assert induced_character_value(((1,), (1,)), (1, 1)) == 2
+    induced = induced_character_values(((1,), (1,)))
+    assert induced.get((1, 1), 0) == 2
     assert multi_character_value(((1,), (1,)), (1, 1)) == 2
-    assert induced_character_value(((1,), (1,)), (2,)) == 0
+    assert induced.get((2,), 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +523,6 @@ def test_character_tables_match_pinned_digest():
 def test_character_table_guard():
     with pytest.raises(ValueError):
         character_table(TABLE_GUARD + 1)
-    # explicit limit overrides
-    character_table(4, limit=4)
 
 
 def test_character_table_json_roundtrip():
@@ -568,11 +559,10 @@ def test_clear_caches_recomputes_identically():
     pvanish.clear_caches()
     before = character_value((4, 3, 1), (3, 3, 2))
     multi_character_value(((2, 1), (1,)), (2, 1, 1))
-    factored_character_value((3, 3, 2), 2, (2, 2), ())
     can_remove_sequence((4, 3, 1), (3, 3))
     is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
     list_p_vanishing(p_adic_context(8, 3), audit=True)
-    singular_partitions(8, 3)
+    nonvanishing_witness((3, 3, 2), 3)
     character_table(4)
     tables = _memo_tables()
     assert {"characters._char", "partitions._strippable"} <= set(tables)

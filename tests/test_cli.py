@@ -207,6 +207,9 @@ def test_vanishing_deterministic(capsys):
         ("quotient", "--alpha", "1", "--r", "100000"),
         ("verify", "--suite", "equivalence", "--p", "2,2", "--max-n", "3"),  # repeated prime
         ("verify", "--suite", "conjectures", "--p", "5,5", "--max-n", "4"),  # repeated prime
+        # full character tables past TABLE_GUARD, refused before they are built
+        ("verify", "--suite", "orthogonality", "--max-n", "17"),
+        ("verify", "--suite", "conjugation-twist", "--max-n", "17"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -20,19 +20,15 @@ from naive import (
 from pvanish.partitions import (
     MAX_PARTITION_SIZE,
     as_partition,
-    beta_set,
     can_remove_sequence,
     conjugate,
     enumerate_partitions,
     format_partition,
-    from_beta_set,
     from_core_and_quotient,
-    hook_length,
     hook_lengths,
     parse_partition,
     r_decompose,
     r_weight,
-    removable_hooks,
     _beta_mask,
     _display,
     _mask_partition,
@@ -121,17 +117,9 @@ def test_hook_multiset_symmetric_under_conjugation(alpha):
 
 
 def test_hook_length_single_node():
-    alpha = (4, 2, 1)
-    grid = hook_lengths(alpha)
-    for i in range(len(alpha)):
-        for j in range(alpha[i]):
-            assert hook_length(alpha, i + 1, j + 1) == grid[i][j]
-    with pytest.raises(ValueError):
-        hook_length(alpha, 1, 5)
-    with pytest.raises(ValueError):
-        hook_length(alpha, 4, 1)
-    with pytest.raises(ValueError):
-        hook_length(alpha, 0, 1)
+    # each node of (4, 2, 1) by hand: arm + leg + 1
+    assert hook_lengths((4, 2, 1)) == [[6, 4, 2, 1], [3, 1], [1]]
+    assert hook_lengths(()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -139,29 +127,20 @@ def test_hook_length_single_node():
 # ---------------------------------------------------------------------------
 
 
+def _padded_beta_set(alpha, size):
+    """{alpha_i + size - 1 - i : 0 <= i < size}, missing parts read as 0."""
+    padded = alpha + (0,) * (size - len(alpha))
+    return [padded[i] + size - 1 - i for i in range(size)]
+
+
 @given(partitions_st(), st.integers(0, 5))
 def test_beta_set_roundtrip(alpha, extra):
+    # the mask displayed at any size holds the padded beta set, and decodes back
     size = len(alpha) + extra
-    beta = beta_set(alpha, size)
-    assert len(beta) == size
-    assert all(beta[i] > beta[i + 1] for i in range(len(beta) - 1))
-    assert from_beta_set(beta) == alpha
-
-
-def test_beta_set_rejects_small_display():
-    with pytest.raises(ValueError):
-        beta_set((3, 2, 1), 2)
-
-
-def test_from_beta_set_rejects():
-    with pytest.raises(ValueError):
-        from_beta_set([3, 3])
-    with pytest.raises(ValueError):
-        from_beta_set([-1, 2])
-
-
-def test_from_beta_set_order_insensitive():
-    assert from_beta_set([0, 5, 2]) == from_beta_set([5, 2, 0])
+    mask = _display(alpha, size)
+    assert mask == sum(1 << x for x in _padded_beta_set(alpha, size))
+    assert mask.bit_count() == size
+    assert _mask_partition(mask) == alpha
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +150,28 @@ def test_from_beta_set_order_insensitive():
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_removable_hooks_match_rim_oracle(n):
+    # one removable k-hook per node of hook length k in the grid that degree
+    # reads, top row first, with that node's leg: hook - arm - 1
     for alpha in enumerate_partitions(n):
+        grid = hook_lengths(alpha)
         for length in range(1, n + 1):
-            got = [
-                (h.row, h.col, h.leg, h.result)
-                for h in removable_hooks(alpha, length)
+            got = [leg for leg, _ in _rim_moves(_beta_mask(alpha), length)]
+            expected = [
+                h - (alpha[i] - j - 1) - 1
+                for i, row in enumerate(grid)
+                for j, h in enumerate(row)
+                if h == length
             ]
-            expected = list(naive_rim_removals(alpha, length))
             assert got == expected, (alpha, length)
+            assert len(got) == len(list(naive_rim_removals(alpha, length))), (alpha, length)
 
 
 @given(partitions_st())
 def test_beta_mask_is_the_beta_set(alpha):
     mask = _beta_mask(alpha)
     assert mask & 1 == 0
-    assert mask == sum(1 << x for x in beta_set(alpha, len(alpha)))
+    # bead i sits at the first-column hook length of row i
+    assert mask == sum(1 << row[0] for row in naive_hook_lengths(alpha))
     assert _mask_partition(mask) == alpha
     # padded displays carry beads of zero-length parts, which decode to nothing
     for extra in range(1, 4):
@@ -225,8 +211,9 @@ def test_rim_additions_invert_rim_moves(n):
 
 
 def test_removable_hooks_empty_cases():
-    assert removable_hooks((), 1) == []
-    assert removable_hooks((3, 1), 5) == []
+    # the empty partition has no hook, and no hook is longer than the largest
+    assert list(_rim_moves(_beta_mask(()), 1)) == []
+    assert list(_rim_moves(_beta_mask((3, 1)), 5)) == []
 
 
 @given(partitions_st(max_n=14), st.lists(st.integers(1, 6), max_size=4))
@@ -255,8 +242,8 @@ def test_can_remove_sequence_oversized_is_false():
 def test_single_hook_removal_drops_weight_by_one(n, r):
     for alpha in enumerate_partitions(n):
         dec = r_decompose(alpha, r)
-        for h in removable_hooks(alpha, r):
-            sub = r_decompose(h.result, r)
+        for _, _, _, result in naive_rim_removals(alpha, r):
+            sub = r_decompose(result, r)
             assert sub.weight == dec.weight - 1
             assert sub.core == dec.core
 
@@ -294,7 +281,7 @@ def test_decomposition_invariants(alpha, r):
     assert dec.weight == sum(sum(q) for q in dec.quotient)
     assert len(dec.quotient) == r
     assert dec.sign in (-1, 1)
-    assert removable_hooks(dec.core, r) == []
+    assert list(naive_rim_removals(dec.core, r)) == []
 
 
 @given(partitions_st(), st.integers(2, 5))
@@ -303,10 +290,10 @@ def test_core_is_reached_by_hook_removals(alpha, r):
     cur = alpha
     steps = 0
     while True:
-        hooks = removable_hooks(cur, r)
+        hooks = list(naive_rim_removals(cur, r))
         if not hooks:
             break
-        cur = hooks[0].result
+        cur = hooks[0][3]
         steps += 1
     assert cur == dec.core
     assert steps == dec.weight
@@ -317,7 +304,7 @@ def test_core_is_reached_by_hook_removals(alpha, r):
 def test_removal_sign_is_order_independent(n, r):
     for alpha in enumerate_partitions(n):
         m = r * ((len(alpha) + r - 1) // r)
-        beta = beta_set(alpha, m)
+        beta = _padded_beta_set(alpha, m)
         sign = naive_removal_sign(beta, r)
         assert sign == naive_removal_sign(beta, r, lowest_first=True)
         assert r_decompose(alpha, r).sign == sign
@@ -326,16 +313,16 @@ def test_removal_sign_is_order_independent(n, r):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n", range(0, 11))
 def test_sign_matches_explicit_removal_legs(n, r):
-    # peel r-hooks greedily through removable_hooks and track leg parity
+    # peel r-hooks greedily through the row-sliding oracle and track leg parity
     for alpha in enumerate_partitions(n):
         legs = 0
         cur = alpha
         while True:
-            hooks = removable_hooks(cur, r)
+            hooks = list(naive_rim_removals(cur, r))
             if not hooks:
                 break
-            legs += hooks[-1].leg
-            cur = hooks[-1].result
+            _, _, leg, cur = hooks[-1]
+            legs += leg
         assert r_decompose(alpha, r).sign == (-1) ** legs
 
 

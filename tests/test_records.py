@@ -1,5 +1,6 @@
 """Result records: immutability, hashing, fresh containers, constructor forms,
-and the import path of the CLI that the lightweight record classes keep short."""
+the import path of the CLI that the lightweight record classes keep short,
+and the package's export list."""
 
 from __future__ import annotations
 
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import pvanish
 from pvanish.characters import CharacterTable, character_table
 from pvanish.padic import p_adic_context
-from pvanish.partitions import removable_hooks, r_decompose
+from pvanish.partitions import r_decompose
 from pvanish.vanishing import (
     ConjectureScan,
     StructureAudit,
@@ -44,10 +46,15 @@ def test_cli_import_pulls_in_no_dataclasses_or_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = pvanish.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(pvanish, name)] == []
+
+
 @pytest.mark.parametrize(
     "record",
     [
-        removable_hooks((3, 1), 2)[0],
         r_decompose((4, 2, 1), 3),
         p_adic_context(10, 3),
         character_table(3),

@@ -13,18 +13,16 @@ from pvanish.characters import character_value
 from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context, p_adic_type_classes
 from pvanish.partitions import _beta_mask, enumerate_partitions
 from pvanish.vanishing import (
-    _singular_labels,
+    _singular_masks,
     DEFAULT_SWEEP_LIMIT,
     STRUCTURAL_LEVEL,
     audit_vanishing_structure,
     base_vanishing_table,
     check_conjectures,
     conjecture_sweep,
-    is_p_vanishing_bruteforce,
     is_p_vanishing_structural,
     list_p_vanishing,
     nonvanishing_witness,
-    singular_partitions,
     structural_classes,
     structural_split,
     suffix_reduction_check,
@@ -37,18 +35,27 @@ from pvanish.vanishing import (
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", range(0, 11))
-def test_singular_partitions_match_predicate(n, p):
+@cache
+def _degree_singular_labels(n, p):
+    """The p-singular labels of S_n in enumeration order, by the degree's valuation."""
     ctx = p_adic_context(n, p)
-    expected = tuple(a for a in enumerate_partitions(n) if is_p_singular(a, ctx))
-    assert singular_partitions(n, p) == expected
+    return [a for a in enumerate_partitions(n) if is_p_singular(a, ctx, "degree")]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(0, 15))
+def test_singular_partitions_match_predicate(n, p):
+    # the memo holds bare ints, no partitions, in enumeration order; the
+    # degree method divides hook products and reads no mask
+    masks = _singular_masks(n, p)
+    assert type(masks) is tuple and all(type(mask) is int for mask in masks)
+    assert masks == tuple(map(_beta_mask, _degree_singular_labels(n, p)))
 
 
 def test_singular_filter_builds_no_decompositions(no_decompositions):
     # the b_invariants test reads r-weights only, never the full record
     pvanish.clear_caches()
-    assert len(singular_partitions(20, 2)) > 0
+    assert len(_singular_masks(20, 2)) > 0
 
 
 def test_witness_is_singular_with_nonzero_value():
@@ -56,7 +63,7 @@ def test_witness_is_singular_with_nonzero_value():
     for beta in enumerate_partitions(8):
         witness = nonvanishing_witness(beta, 2)
         if witness is None:
-            assert is_p_vanishing_bruteforce(beta, ctx)
+            assert all(character_value(a, beta) == 0 for a in _degree_singular_labels(8, 2))
             continue
         alpha, value = witness
         assert is_p_singular(alpha, ctx)
@@ -65,7 +72,7 @@ def test_witness_is_singular_with_nonzero_value():
 
 
 def _first_witness(beta, p):
-    for alpha in singular_partitions(sum(beta), p):
+    for alpha in _degree_singular_labels(sum(beta), p):
         value = character_value(alpha, beta)
         if value:
             return (alpha, value)
@@ -88,7 +95,7 @@ def test_weight_bound_skips_only_zero_values(p):
     checked = 0
     for n in range(17):
         ctx = p_adic_context(n, p)
-        labels = singular_partitions(n, p)
+        labels = _degree_singular_labels(n, p)
         for beta in p_adic_type_classes(ctx):
             for alpha in labels:
                 assert character_value(alpha, beta) == 0, (alpha, beta)
@@ -111,15 +118,9 @@ def test_witness_rejects_non_positive_parts(beta):
         nonvanishing_witness(beta, 2)
 
 
-def test_bruteforce_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        is_p_vanishing_bruteforce((2, 1), p_adic_context(4, 2))
-
-
 @pytest.mark.parametrize("p,n", [(2, 9), (3, 8)])
 def test_flags_in_enumeration_order(p, n):
-    ctx = p_adic_context(n, p)
-    expected = [b for b in enumerate_partitions(n) if is_p_vanishing_bruteforce(b, ctx)]
+    expected = [b for b in enumerate_partitions(n) if nonvanishing_witness(b, p) is None]
     assert list(vanishing_classes(n, p)) == expected
 
 
@@ -143,7 +144,7 @@ def test_sweep_keeps_no_label_table():
     # reports no class, so it never fills the shared one
     pvanish.clear_caches()
     assert conjecture_sweep(5, range(25)).counterexamples == []
-    assert _singular_labels.cache_info().currsize == 0
+    assert _singular_masks.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +231,9 @@ def test_flag_walk_fills_the_label_table_once(monkeypatch):
     monkeypatch.setattr(vanishing, "enumerate_partitions", None)
     classes = vanishing_classes(18, 3)
     monkeypatch.undo()
-    ctx = p_adic_context(18, 3)
-    assert _singular_labels.cache_info().currsize == 0
+    assert _singular_masks.cache_info().currsize == 0
     assert list(classes) == [
-        b for b in enumerate_partitions(18) if is_p_vanishing_bruteforce(b, ctx)
+        b for b in enumerate_partitions(18) if nonvanishing_witness(b, 3) is None
     ]
 
 
@@ -318,9 +318,8 @@ def test_base_tables_recompute_cleanly():
     assert sum(len(v) for v in t3.values()) == 24
     for p, table in ((2, t2), (3, t3)):
         for n, betas in table.items():
-            ctx = p_adic_context(n, p)
             for beta in betas:
-                assert is_p_vanishing_bruteforce(beta, ctx)
+                assert nonvanishing_witness(beta, p) is None
 
 
 def test_base_table_rejects_other_primes():
@@ -372,7 +371,7 @@ def test_structural_split_rejects_unsorted_classes(beta):
 def test_structural_classifier_ignores_part_order():
     ctx = p_adic_context(7, 2)
     assert is_p_vanishing_structural((1, 2, 4), ctx) is True
-    assert is_p_vanishing_bruteforce((1, 2, 4), ctx) is True
+    assert nonvanishing_witness((1, 2, 4), 2) is None
     assert is_p_vanishing_structural((4, 8), p_adic_context(12, 2)) is True
     assert structural_split((8, 4), p_adic_context(12, 2)) == 1
     with pytest.raises(ValueError):
@@ -586,7 +585,7 @@ def test_vacuous_regime_below_p():
     # n < p: no label is singular, so every class vanishes and every class
     # has p-adic type; the scan must stay silent
     ctx = p_adic_context(4, 7)
-    assert singular_partitions(4, 7) == ()
+    assert _singular_masks(4, 7) == ()
     scan = check_conjectures(ctx)
     assert set(scan.vanishing) == set(enumerate_partitions(4))
     assert scan.counterexamples == []
