@@ -9,7 +9,6 @@ cli (command line).
 
 from . import characters as _characters
 from . import padic as _padic
-from . import partitions as _partitions
 from . import vanishing as _vanishing
 from .characters import (
     CharacterTable,
@@ -24,8 +23,6 @@ from .padic import (
     PAdicContext,
     SINGULARITY_METHODS,
     degree_valuation,
-    digit_hook_lengths,
-    is_blocked_at_level,
     is_p_adic_type,
     is_p_singular,
     p_adic_context,
@@ -38,7 +35,6 @@ from .partitions import (
     Partition,
     RDecomposition,
     as_partition,
-    can_remove_sequence,
     conjugate,
     enumerate_partitions,
     format_partition,
@@ -73,7 +69,7 @@ def clear_caches() -> None:
     _vanishing.clear_caches()
     _characters.clear_caches()
     _padic.p_adic_context.cache_clear()
-    _partitions.clear_caches()
+    _padic._pprime_masks.cache_clear()
 
 
 __all__ = [
@@ -90,7 +86,6 @@ __all__ = [
     "as_partition",
     "audit_vanishing_structure",
     "base_vanishing_table",
-    "can_remove_sequence",
     "centralizer_order",
     "character_table",
     "character_value",
@@ -100,12 +95,10 @@ __all__ = [
     "conjugate",
     "degree",
     "degree_valuation",
-    "digit_hook_lengths",
     "enumerate_partitions",
     "format_partition",
     "from_core_and_quotient",
     "hook_lengths",
-    "is_blocked_at_level",
     "is_p_adic_type",
     "is_p_singular",
     "is_p_vanishing_structural",

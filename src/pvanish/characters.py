@@ -44,7 +44,6 @@ they merge into.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import cache
 from itertools import product
@@ -58,7 +57,6 @@ from .partitions import (
     _rim_additions,
     _rim_moves,
     enumerate_partitions,
-    format_partition,
     hook_lengths,
 )
 
@@ -193,30 +191,6 @@ class CharacterTable(NamedTuple):
     n: int
     labels: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "n": self.n,
-                "labels": [list(l) for l in self.labels],
-                "values": [list(row) for row in self.values],
-            }
-        )
-
-    def to_text(self) -> str:
-        headers = [format_partition(b) for b in self.labels]
-        rows = [format_partition(a) for a in self.labels]
-        cells = [[str(v) for v in row] for row in self.values]
-        widths = [
-            max(len(headers[j]), max(len(cells[i][j]) for i in range(len(rows))))
-            for j in range(len(headers))
-        ]
-        label_w = max(len(r) for r in rows)
-        lines = [" " * label_w + "  " + "  ".join(h.rjust(widths[j]) for j, h in enumerate(headers))]
-        for i, r in enumerate(rows):
-            lines.append(r.ljust(label_w) + "  " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(len(headers))))
-        return "\n".join(lines)
 
 
 @cache

@@ -6,8 +6,8 @@ p-adic type is the one with a_i parts equal to p^i for every i; a general
 partition has p-adic type when, for every i, its parts of exact p-valuation
 i sum to a_i p^i.
 
-Each digit test has one loop: _mask_singular for p-singularity, and
-_type_level for p-adic type and the suffix-reduction levels.
+One loop per digit test: _mask_singular for p-singularity, _type_level for p-adic
+type and the suffix-reduction levels, and _pprime_masks, the p'-labels by hook addition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .partitions import (
     Partition,
     _beta_mask,
     _mask_weight,
-    can_remove_sequence,
+    _rim_additions,
     enumerate_partitions,
     hook_lengths,
     r_weight,
@@ -79,17 +79,9 @@ def p_adic_context(n: int, p: int) -> PAdicContext:
     return PAdicContext(p=p, n=n, digits=tuple(digits))
 
 
-def digit_hook_lengths(ctx: PAdicContext, min_level: int = 0) -> tuple[int, ...]:
-    """Hook lengths (p^k repeated a_k times, ..., p^min_level repeated a_min_level times)."""
-    out: list[int] = []
-    for i in range(ctx.k, min_level - 1, -1):
-        out.extend([ctx.p**i] * ctx.digit(i))
-    return tuple(out)
-
-
 def p_power_partition(ctx: PAdicContext) -> Partition:
     """The canonical partition of p-adic type: a_i parts equal to p^i."""
-    return digit_hook_lengths(ctx, 0)
+    return tuple(ctx.p**i for i in range(ctx.k, -1, -1) for _ in range(ctx.digit(i)))
 
 
 def valuation(x: int, p: int) -> int:
@@ -185,15 +177,19 @@ def weight_digit(alpha: Partition, p: int, i: int) -> int:
     return r_weight(alpha, p**i) - p * r_weight(alpha, p**(i + 1))
 
 
-def is_blocked_at_level(alpha: Partition, ctx: PAdicContext, m: int) -> bool:
-    """Whether the digit hooks from the top down to level m cannot all be removed.
+@cache
+def _pprime_masks(n: int, p: int) -> frozenset[int]:
+    """The beta masks of the p'-labels of n, the labels of degree prime to p.
 
-    Blocked at level 0 is the same as p-singular; blocked above the leading
-    digit is impossible (the sequence is empty).
+    Macdonald's hook criterion (1971) run forward: from (), add a_0 hooks of
+    length 1, then a_1 of length p, up to a_k of length p^k.  There are
+    prod_i k(p^i, a_i), where k(q, a) counts q-tuples of partitions of total a.
     """
-    if sum(alpha) != ctx.n:
-        raise ValueError(f"{alpha} is not a partition of {ctx.n}")
-    return not can_remove_sequence(alpha, digit_hook_lengths(ctx, m))
+    masks = {0}
+    for i, a in enumerate(p_adic_context(n, p).digits):
+        for _ in range(a):
+            masks = {new for mask in masks for _, new in _rim_additions(mask, p**i)}
+    return frozenset(masks)
 
 
 def degree_valuation(alpha: Partition, p: int) -> int:
@@ -233,7 +229,7 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     Four equivalent tests are available:
       b_invariants  some weight digit differs from the matching digit of n,
                     read off the beta mask by the sweep's filter, _mask_singular
-      hooks         the digit hook sequence cannot be removed
+      hooks         the label is not a p'-label built by hook addition (_pprime_masks)
       character     the character vanishes on the canonical p-adic class
       degree        p divides the degree (via valuations, no big integers)
     """
@@ -242,7 +238,7 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
     if method == "b_invariants":
         return _mask_singular(_beta_mask(alpha), ctx)
     if method == "hooks":
-        return is_blocked_at_level(alpha, ctx, 0)
+        return _beta_mask(alpha) not in _pprime_masks(ctx.n, ctx.p)
     if method == "character":
         return characters.character_value(alpha, p_power_partition(ctx)) == 0
     if method == "degree":

@@ -16,7 +16,6 @@ modulo r, and the r-core comes from sliding each bead down its runner.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -179,28 +178,6 @@ def _rim_additions(mask: int, k: int) -> Iterator[tuple[int, int]]:
         yield leg, new >> ((~new & (new + 1)).bit_length() - 1)
 
 
-@cache
-def _strippable(mask: int, lengths: tuple[int, ...]) -> bool:
-    if not lengths:
-        return True
-    rest = lengths[1:]
-    return any(_strippable(new, rest) for _, new in _rim_moves(mask, lengths[0]))
-
-
-def can_remove_sequence(alpha: Partition, lengths: Iterable[int]) -> bool:
-    """Whether hooks of the given lengths can be removed in the given order.
-
-    The search memoizes on (partition, remaining suffix); suffixes recur
-    across queries, so the cache is shared process-wide.
-    """
-    seq = tuple(lengths)
-    if any(l < 1 for l in seq):
-        raise ValueError(f"hook lengths must be positive: {seq}")
-    if sum(seq) > sum(alpha):
-        return False
-    return _strippable(_beta_mask(alpha), seq)
-
-
 class RDecomposition(NamedTuple):
     """r-core, r-quotient, r-weight and r-sign of a partition.
 
@@ -331,7 +308,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         if rest:
             part.append(rest)
 
-
-def clear_caches() -> None:
-    """Drop the process-wide memo table of hook stripping."""
-    _strippable.cache_clear()

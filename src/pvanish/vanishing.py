@@ -609,7 +609,6 @@ class ConjectureScan(NamedTuple):
 
     n: int
     p: int
-    vanishing: list[Partition]
     type_mismatches: list[Partition]
     missed_types: list[dict]
     sum_bound_violations: list[dict]
@@ -636,7 +635,7 @@ def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> Conject
     _check_sweep_limit(ctx.n, limit)
     a0 = ctx.digit(0)
     vanishing = vanishing_classes(ctx.n, ctx.p)
-    scan = ConjectureScan(ctx.n, ctx.p, list(vanishing), [], [], [])
+    scan = ConjectureScan(ctx.n, ctx.p, [], [], [])
     for beta in vanishing:
         if not is_p_adic_type(beta, ctx):
             scan.type_mismatches.append(beta)

@@ -14,6 +14,7 @@ from math import factorial
 from operator import lshift, mul
 
 from .characters import (
+    TABLE_GUARD,
     _char,
     _column,
     _multi,
@@ -135,6 +136,8 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
     Each Gram matrix is checked one packed row at a time (_gram_mismatches);
     every (i, j) entry still counts as one check.
     """
+    if max_n > TABLE_GUARD:
+        raise ValueError(f"table for n={max_n} exceeds the guard ({TABLE_GUARD})")
     res = SuiteResult("orthogonality")
     for n in range(max_n + 1):
         table = character_table(n)
@@ -191,6 +194,8 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
     conjugate label with the sign of each class times the row of the label,
     one check per (label, class) cell.
     """
+    if max_n > TABLE_GUARD:
+        raise ValueError(f"table for n={max_n} exceeds the guard ({TABLE_GUARD})")
     res = SuiteResult("conjugation-twist")
     for n in range(max_n + 1):
         table = character_table(n)

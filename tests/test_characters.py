@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from itertools import product
 from math import factorial
@@ -37,7 +36,6 @@ from pvanish.characters import (
 from pvanish.padic import is_p_singular, p_adic_context
 from pvanish.partitions import (
     _beta_mask,
-    can_remove_sequence,
     conjugate,
     enumerate_partitions,
     r_decompose,
@@ -139,7 +137,7 @@ def test_value_rejects():
     [
         (character_value, ((1, 2), (3,))),  # (2, 1) gives -1, not 0
         (r_weight, ((1, 2), 2)),  # (2, 1) has one 2-hook
-        (can_remove_sequence, ((1, 3), (4,))),  # (3, 1) is strippable
+        (is_p_singular, ((1, 3), p_adic_context(4, 2), "hooks")),  # (3, 1) has odd degree
         (character_value, ((3, 0), (3,))),  # would set a bead at bit 0
         (multi_character_value, (((1, 2),), (3,))),
         (character_value, ((3, 1, 2), (6,))),  # unsorted past the second part
@@ -525,25 +523,6 @@ def test_character_table_guard():
         character_table(TABLE_GUARD + 1)
 
 
-def test_character_table_json_roundtrip():
-    table = character_table(4)
-    payload = json.loads(table.to_json())
-    assert payload["schema_version"] == 1
-    assert payload["n"] == 4
-    assert [tuple(l) for l in payload["labels"]] == list(table.labels)
-    assert [tuple(r) for r in payload["values"]] == list(table.values)
-
-
-def test_character_table_text_is_deterministic():
-    first = character_table(5).to_text()
-    second = character_table(5).to_text()
-    assert first == second
-    assert "(3,1,1)" in first
-    # every row has the same rendered width
-    widths = {len(line) for line in first.splitlines()}
-    assert len(widths) == 1
-
-
 def _memo_tables() -> dict:
     """Every object with cache_info() defined in a pvanish module, by name."""
     return {
@@ -559,13 +538,12 @@ def test_clear_caches_recomputes_identically():
     pvanish.clear_caches()
     before = character_value((4, 3, 1), (3, 3, 2))
     multi_character_value(((2, 1), (1,)), (2, 1, 1))
-    can_remove_sequence((4, 3, 1), (3, 3))
     is_p_singular((3, 3, 2), p_adic_context(8, 2), method="hooks")
     list_p_vanishing(p_adic_context(8, 3), audit=True)
     nonvanishing_witness((3, 3, 2), 3)
     character_table(4)
     tables = _memo_tables()
-    assert {"characters._char", "partitions._strippable"} <= set(tables)
+    assert {"characters._char", "padic._pprime_masks"} <= set(tables)
     assert not hasattr(partitions._beta_mask, "cache_info")
     assert not hasattr(partitions.r_decompose, "cache_info")
     assert [name for name, t in tables.items() if t.cache_info().currsize == 0] == []

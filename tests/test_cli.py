@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pvanish
-from pvanish import cli, verify
+from pvanish import characters, cli, verify
 from pvanish.vanishing import VanishReport, vanishing_classes
 
 
@@ -241,6 +241,16 @@ def test_sweep_range_checked_before_sweeping(capsys):
     assert code == 2
     assert "--limit" in err
     assert vanishing_classes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("suite", ["orthogonality", "conjugation-twist"])
+def test_table_guard_checked_before_building(capsys, suite):
+    # the top of the range is over TABLE_GUARD, so not even n = 0 gets a column
+    pvanish.clear_caches()
+    code, _, err = run(capsys, "verify", "--suite", suite, "--max-n", "17")
+    assert code == 2
+    assert "guard" in err
+    assert characters._column.cache_info().currsize == 0
 
 
 def test_fixed_point_tail_costs_no_depth(capsys):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import partitions_st, primes_st
-from naive import naive_hook_weight, naive_weight
+from naive import naive_can_strip, naive_hook_weight, naive_weight, partition_count
 from pvanish.characters import degree
 from pvanish.padic import (
     SINGULARITY_METHODS,
     _mask_singular,
-    digit_hook_lengths,
-    is_blocked_at_level,
+    _pprime_masks,
     is_p_adic_type,
     is_p_singular,
     p_adic_context,
@@ -80,9 +79,6 @@ def test_p_power_partition_properties(n, p):
     assert sum(lam) == n
     assert all(c == p ** valuation(c, p) for c in lam)
     assert is_p_adic_type(lam, ctx)
-    # digit hooks from level m are the parts >= p^m
-    for m in range(ctx.k + 2):
-        assert digit_hook_lengths(ctx, m) == tuple(c for c in lam if c >= p**m)
 
 
 def test_p_power_partition_known():
@@ -222,22 +218,43 @@ def test_weight_digit_rejects():
 
 
 # ---------------------------------------------------------------------------
-# blocked levels
+# the p'-labels by hook addition
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", range(0, 13))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", range(0, 15))
 def test_blocked_levels_monotone_and_anchor(n, p):
-    ctx = p_adic_context(n, p)
-    for alpha in enumerate_partitions(n):
-        blocked = [is_blocked_at_level(alpha, ctx, m) for m in range(ctx.k + 2)]
-        # blocked above the leading digit is impossible (nothing to remove)
-        assert blocked[-1] is False
-        # a longer removal sequence is at least as hard as its tail
-        for m in range(len(blocked) - 1):
-            assert not blocked[m + 1] or blocked[m]
-        assert blocked[0] == is_p_singular(alpha, ctx, "hooks")
+    # the labels built by hook addition are exactly those from which the naive
+    # search removes the digit hooks, the parts of the canonical partition,
+    # largest first; the hooks test is blocked on every other label
+    hooks = p_power_partition(p_adic_context(n, p))
+    strippable = {_beta_mask(a) for a in enumerate_partitions(n) if naive_can_strip(a, hooks)}
+    assert _pprime_masks(n, p) == strippable
+    assert len(strippable) == _macdonald_count(n, p)
+
+
+def _multipartition_count(q: int, a: int) -> int:
+    """k(q, a): the number of q-tuples of partitions of total size a."""
+    counts = [1] + [0] * a
+    for _ in range(q):
+        counts = [sum(counts[j] * partition_count(i - j) for j in range(i + 1)) for i in range(a + 1)]
+    return counts[a]
+
+
+def _macdonald_count(n: int, p: int) -> int:
+    """prod_i k(p^i, a_i), the number of labels of n of degree prime to p."""
+    count = 1
+    for i, a in enumerate(p_adic_context(n, p).digits):
+        count *= _multipartition_count(p**i, a)
+    return count
+
+
+@pytest.mark.parametrize(
+    "n,p,size", [(24, 2, 128), (27, 7, 1_540), (50, 3, 8_748), (55, 5, 1_750)]
+)
+def test_pprime_masks_size_is_macdonald_product(n, p, size):
+    assert len(_pprime_masks(n, p)) == _macdonald_count(n, p) == size
 
 
 # ---------------------------------------------------------------------------
@@ -280,4 +297,4 @@ def test_singularity_rejects():
     with pytest.raises(ValueError):
         is_p_singular((2, 2), ctx, "unknown")
     with pytest.raises(ValueError):
-        is_blocked_at_level((2, 1), ctx, 0)
+        is_p_singular((2, 1), ctx, "hooks")

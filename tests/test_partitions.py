@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from conftest import partitions_st
 from naive import (
-    naive_can_strip,
     naive_hook_lengths,
     naive_hook_weight,
     naive_removal_sign,
@@ -20,7 +19,6 @@ from naive import (
 from pvanish.partitions import (
     MAX_PARTITION_SIZE,
     as_partition,
-    can_remove_sequence,
     conjugate,
     enumerate_partitions,
     format_partition,
@@ -214,22 +212,6 @@ def test_removable_hooks_empty_cases():
     # the empty partition has no hook, and no hook is longer than the largest
     assert list(_rim_moves(_beta_mask(()), 1)) == []
     assert list(_rim_moves(_beta_mask((3, 1)), 5)) == []
-
-
-@given(partitions_st(max_n=14), st.lists(st.integers(1, 6), max_size=4))
-def test_can_remove_sequence_matches_dfs(alpha, lengths):
-    assert can_remove_sequence(alpha, lengths) == naive_can_strip(
-        alpha, tuple(lengths)
-    )
-
-
-def test_can_remove_sequence_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        can_remove_sequence((3, 1), [2, 0])
-
-
-def test_can_remove_sequence_oversized_is_false():
-    assert not can_remove_sequence((2, 1), (4,))
 
 
 # ---------------------------------------------------------------------------
