@@ -12,10 +12,10 @@ the same suffixes over and over.  The vanishing column scans
 singular labels as bare masks and call the uncached body _char.__wrapped__
 for each top-level (label mask, class) pair: a sweep evaluates that pair
 once, so storing it would only grow the table, while every deeper pair
-still goes through the memo.  A sweep scans only the
-few classes that the closed-form tiers of vanishing.vanishing_classes leave
-and that are not of p-adic type, so the memo holds about 1,300 entries after
-the largest class set of a p = 7 hunt at n = 27.
+still goes through the memo.  A sweep scans only the few classes that the
+pruned search of vanishing.vanishing_classes leaves and that are not of
+p-adic type, so the memo holds 1,268 entries after vanishing_classes(27, 7)
+on fresh caches, and 1,428 after a p = 7 hunt over n <= 27.
 
 character_table builds the table a whole column at a time, by the same rule
 run the other way (_column): the column of a class, {label mask: value} over
@@ -36,10 +36,10 @@ _multi is the sorted tuple of the nonzero component masks (_multi_key): label
 tuples that differ only in order or in empty components share their entries.
 That quantity equals the character induced from an outer tensor product over
 a Young subgroup, which induced_character_values computes by a different route
-for cross-checking: it evaluates each component's column of nonzero values
-once with _char and walks the product of those columns, adding each
-combination of component classes, with its multinomial weight, to the class
-they merge into.
+for cross-checking: it reads each component's row of nonzero values, built
+once per label with _char (_nonzero_row), and walks the product of those
+rows, adding each combination of component classes, with its multinomial
+weight, to the class they merge into.
 """
 
 from __future__ import annotations
@@ -143,22 +143,15 @@ def induced_character_values(labels: tuple[Partition, ...]) -> dict[Partition, i
     S_{|alpha_s|}: the value on lam sums, over every choice of one class mu_i
     per component whose parts together make up lam, prod chi_i(mu_i) times
     prod_k m_k(lam)! / prod_i prod_k m_k(mu_i)!, the number of ways to hand
-    the k-cycles of lam out to the components.  Each component's column,
-    its nonzero values chi_i(mu_i) with mu_i over enumerate_partitions, is
-    evaluated once with _char on the component's mask, and every combination
-    of column entries adds one term to its merged class.  Nothing here goes
-    through _multi, so this stays an independent check of it.
+    the k-cycles of lam out to the components.  Each component's row, its
+    nonzero values chi_i(mu_i) with mu_i over enumerate_partitions, comes
+    from _nonzero_row, and every combination of row entries adds one term
+    to its merged class.  Nothing here goes through _multi, so this stays an
+    independent check of it.
     """
-    columns = [
-        [
-            (mu, chi, _multiplicity_factorials(mu))
-            for mu in enumerate_partitions(sum(alpha))
-            if (chi := _char(mask, mu))
-        ]
-        for alpha, mask in zip(labels, map(_beta_mask, labels))
-    ]
+    rows = [_nonzero_row(_beta_mask(alpha), sum(alpha)) for alpha in labels]
     values: dict[Partition, int] = {}
-    for combination in product(*columns):
+    for combination in product(*rows):
         parts: list[int] = []
         value = denominator = 1
         for mu, chi, mu_factorials in combination:
@@ -169,6 +162,19 @@ def induced_character_values(labels: tuple[Partition, ...]) -> dict[Partition, i
         # the multinomials are integers, so the division is exact
         values[lam] = values.get(lam, 0) + _multiplicity_factorials(lam) // denominator * value
     return values
+
+
+@cache
+def _nonzero_row(mask: int, m: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(mu, chi(mu), prod_k m_k(mu)!) for each class mu of S_m, in order, with chi(mu) != 0.
+
+    chi is labelled by this beta mask; a label recurs across a suite's tuples.
+    """
+    return tuple(
+        (mu, chi, _multiplicity_factorials(mu))
+        for mu in enumerate_partitions(m)
+        if (chi := _char(mask, mu))
+    )
 
 
 def _multiplicity_factorials(beta: Partition) -> int:
@@ -233,3 +239,4 @@ def clear_caches() -> None:
     _char.cache_clear()
     _multi.cache_clear()
     _column.cache_clear()
+    _nonzero_row.cache_clear()

@@ -308,3 +308,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         if rest:
             part.append(rest)
 
+
+def partition_count(n: int) -> int:
+    """p(n) without listing: after part size a, counts[m] is p(m) with parts <= a."""
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]

@@ -10,23 +10,23 @@ also a structural classifier: split beta into a head of parts >= p^r that
 must form a p-adic-type partition of div(r) * p^r and a tail that must be a
 p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
 and r = 2 for p = 3.  The tail lands below p^r, so a fixed table of small
-cases closes the recursion.  The two classifiers are kept independent and compared over
-full sweeps.
+cases closes the recursion.  The two classifiers are kept independent and
+compared over full sweeps.
 
 Each (n, p) is classified once per process: vanishing_classes, the one memo
-of a sweep, keeps only the vanishing classes.  It walks the partitions of n
-once.  Read as labels, they give the beta masks of the p-singular labels, a
-list that lives only for the walk.  Read as classes, two closed-form tiers
-decide almost all of them: a class is nonvanishing as soon as a p-singular
-two-row label (Young's rule) or hook label (Macdonald 1995, ch. I) is
-nonzero on it, and both families come from two integer polynomials per
-class, packed into one int each and shared along the prefix that
-consecutive partitions have in common.  Of the classes that neither tier
-decides, those of p-adic type vanish by the weight bound (chi^alpha(beta) = 0
-when, for some q = p^t, the cycles of beta divisible by q sum to more than q
-times the q-weight of alpha; James & Kerber 1981, section 2.7), and only the
-rest are scanned against the masks.  The oracle, nonvanishing_witness, scans
-every singular label and depends on neither the tiers nor that skip.
+of a sweep, keeps only the vanishing classes.  It never lists the classes
+one by one.  A search over the parts, smallest first, cuts every prefix
+on which a p-singular two-row label (Young's rule) or hook label (Macdonald
+1995, ch. I) is already nonzero: both families come from two integer
+polynomials, packed into one int each, whose low coefficients are final
+once the small parts are chosen.  Of the classes that survive, those of
+p-adic type vanish by the weight bound (chi^alpha(beta) = 0 when, for some
+q = p^t, the cycles of beta divisible by q sum to more than q times the
+q-weight of alpha; James & Kerber 1981, section 2.7).  The rest are scanned
+against the singular labels in enumeration order, as far as the number of
+p'-labels, and column orthogonality decides a scan that gets that far.  The
+oracle, nonvanishing_witness, scans every singular label and depends on
+none of the cuts, the skip or the orthogonality.
 The reports build the p-adic-type and structural classes they compare with
 directly, and rescan for a witness only a class that they report.
 
@@ -39,10 +39,11 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .characters import _char
+from .characters import _char, centralizer_order
 from .padic import (
     PAdicContext,
     _mask_singular,
+    _pprime_masks,
     _type_level,
     is_p_adic_type,
     p_adic_context,
@@ -120,86 +121,58 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     return None
 
 
-def _walk(n: int) -> Iterator[tuple[Partition, int, int, int]]:
-    """(alpha, mask, c, h) for each partition alpha of n, in enumerate_partitions order.
+def _undecided(n: int, p: int) -> list[Partition]:
+    """The classes of S_n on which every p-singular two-row and hook label is 0.
 
-    mask is _beta_mask(alpha).  c and h pack polynomials into one int each,
-    in slots of S = n + 2 bits, coefficient k in slot k:
+    A depth-first search, on an explicit stack, over the multiplicities of
+    the parts, smallest part first.  Each prefix carries two polynomials,
+    packed into one int each in slots of S = n + 2 bits, coefficient k in
+    slot k, and truncated after slot n // 2:
       c = prod (1 + x^a) over the parts a: c_k counts the k-sets that an
-          element of cycle type alpha fixes;
-      h = prod (1 - (-x)^a), which is (1 + x) sum_k chi^(n-k,1^k)(alpha) x^k
-          (Macdonald 1995, ch. I).
-    The products are exact integers, so the slots matter only when values are
-    read: 0 <= c_k <= 2^len(alpha) <= 2^n, and a hook value is at most its
-    degree C(n - 1, k) < 2^n in size, so each fits its slot with a bit to
-    spare for a sign.  Consecutive partitions share a prefix, and the three
-    values for each prefix depth are kept on a stack, so each step pays only
-    for the parts after the prefix.  Bit a_i - i + n of the stacked beta bits
-    (0-indexed i) is bit a_i + m - 1 - i of the mask, shifted up by
-    n - m + 1 for m parts.
+          element of the class fixes, and chi^(n-k,k) = c_k - c_(k-1);
+      h = prod (1 - (-x)^a) = (1 + x) sum_k chi^(n-k,1^k) x^k (Macdonald
+          1995, ch. I), so H_k = chi^(n-k,1^k) = h_k - H_(k-1).
+    Truncating the int modulo 2^(S (n // 2 + 1)) truncates the polynomial
+    modulo x^(n // 2 + 1).  0 <= c_k <= 2^n and |h_k| <= c_k, so with a bias
+    of 2^(S - 1) added to every slot of h each slot reads back exactly.
+    Once the multiplicities of the parts <= s are chosen, every later part
+    is larger than s, so c_s, h_s and H_s are final, and the whole subtree
+    is cut when (n - s, s) is p-singular with c_s != c_(s-1), or (n - s, 1^s)
+    is with H_s != 0.  Only s <= n / 2 is checked: (n - k, 1^k) is conjugate
+    to (k + 1, 1^(n-1-k)), with the same singularity and a value that
+    differs only in sign.  Past n / 2 at most one part is left: the rest.
     """
+    pprime = _pprime_masks(n, p)
+    top = n // 2
     S = n + 2
-    # (1 + x)^r, the factor of r parts equal to 1 in both products
-    ones = [1]
-    for _ in range(n):
-        ones.append(ones[-1] + (ones[-1] << S))
-    cs, hs, bs = [1] * (n + 1), [1] * (n + 1), [0] * (n + 1)
-    part = [n] if n else []
-    top = 0  # the stack holds the values of part[:top]
-    while True:
-        m = len(part)
-        j = m
-        while j and part[j - 1] == 1:
-            j -= 1
-        c, h, bits = cs[top], hs[top], bs[top]
-        for i in range(top, j):
-            a = part[i]
-            c += c << (S * a)
-            h = h + (h << (S * a)) if a & 1 else h - (h << (S * a))
-            bits |= 1 << (a - i + n)
-            cs[i + 1], hs[i + 1], bs[i + 1] = c, h, bits
-        if j < m:
-            # the next step lowers a part before the trailing 1s, so their
-            # depths are never read back and need no stack entries
-            c *= ones[m - j]
-            h *= ones[m - j]
-            bits |= ((1 << (m - j)) - 1) << (n + 2 - m)
-        yield tuple(part), bits >> (n - m + 1), c, h
-        if not j:
-            return
-        # the step of enumerate_partitions: lower the last part above 1 and
-        # refill after it with parts no larger than it
-        i = j - 1
-        part[i] -= 1
-        cap = part[i]
-        full, rest = divmod(m - i, cap)
-        del part[i + 1 :]
-        part += [cap] * full
-        if rest:
-            part.append(rest)
-        top = i
-
-
-def _tier_masks(ctx: PAdicContext) -> tuple[int, int, int]:
-    """Slot masks of the p-singular two-row and hook labels, and the hook bias.
-
-    Slot k of the first mask is full when (n - k, k) is p-singular, and of
-    the second when (n - k, 1^k) is.  The bias puts 2^(S - 1) in every hook
-    slot, so adding it makes every signed slot value non-negative.
-    """
-    n = ctx.n
-    S = n + 2
-    full = (1 << S) - 1
-    two = hook = bias = 0
-    for k in range(n // 2 + 1):
-        label = tuple(x for x in (n - k, k) if x)
-        if _mask_singular(_beta_mask(label), ctx):
-            two |= full << (S * k)
-    for k in range(n):
-        if _mask_singular(_beta_mask((n - k,) + (1,) * k), ctx):
-            hook |= full << (S * k)
-        bias |= 1 << (S * k + S - 1)
-    return two, hook, bias
+    slot = (1 << S) - 1
+    half = 1 << (S - 1)
+    width = (1 << (S * (top + 1))) - 1
+    bias = width // slot * half
+    two = {k: _beta_mask((n - k, k)) not in pprime for k in range(1, top + 1)}
+    hook = {k: _beta_mask((n - k,) + (1,) * k) not in pprime for k in range(1, top + 1)}
+    survivors = []
+    # (s, what is left of n, c, h, H_(s-1), the parts below s in increasing order)
+    stack = [(1, n, 1, 1, 1, ())]
+    while stack:
+        s, left, c, h, H, parts = stack.pop()
+        if s > top:
+            survivors.append(((left,) if left else ()) + parts[::-1])
+            continue
+        shift = S * s
+        for m in range(left // s + 1):
+            if m:
+                c = (c + (c << shift)) & width
+                h = (h + (h << shift) if s & 1 else h - (h << shift)) & width
+                parts += (s,)
+            rest = left - m * s
+            if 0 < rest <= s:
+                continue  # the parts after s are larger than rest
+            low = c >> (shift - S)
+            H_s = ((h + bias) >> shift & slot) - half - H
+            if not (two[s] and (low ^ (low >> S)) & slot or hook[s] and H_s):
+                stack.append((s + 1, rest, c, h, H_s, parts))
+    return sorted(survivors, reverse=True)
 
 
 @cache
@@ -207,44 +180,48 @@ def vanishing_classes(n: int, p: int) -> tuple[Partition, ...]:
     """The p-vanishing cycle types of S_n, by brute force, in enumeration order.
 
     The one per-class memo of a sweep: each (n, p) is classified once per
-    process, and only the vanishing classes are kept.  One walk over the
-    partitions of n does two jobs.  Read as labels, it keeps the beta mask of
-    each p-singular one, in a list that is dropped when the walk is done.
-    Read as classes, each is marked nonvanishing as soon as a p-singular
-    two-row or hook label is nonzero on it:
-      two-row  chi^(n-k,k) = c_k - c_(k-1), nonzero where c ^ (c << S) is;
-      hook     h / (1 + x), exact, holds chi^(n-k,1^k) in its slot k, and it
-               is nonzero where its biased slots differ from the bias.
-    Two-column labels add nothing: a conjugate label has the same
-    singularity, and its value differs only in sign.
+    process, and only the vanishing classes are kept.  _undecided cuts
+    every class on which a p-singular two-row or hook label is nonzero, and
+    only its survivors are decided here.
 
-    A class the tiers leave undecided vanishes when it has p-adic type, with
-    no evaluation: such a class demands div(t) hooks of length q = p^t at
-    every level t <= k, and a singular label's q-weight falls below div(t)
-    at the level t <= k of its first digit mismatch, so every singular label
-    is 0 on it (James & Kerber 1981, 2.7: peel the cycles divisible by q
-    first; each c-cycle lowers the q-weight by c/q).  Any other undecided
-    class is scanned against the masks after the walk, up to the first
-    nonzero value; the column scans reuse each other's values through the
-    _char memo.
+    A survivor of p-adic type vanishes with no evaluation: such a class
+    demands div(t) hooks of length q = p^t at every level t <= k, and a
+    singular label's q-weight falls below div(t) at the level t <= k of its
+    first digit mismatch, so every singular label is 0 on it (James & Kerber
+    1981, 2.7: peel the cycles divisible by q first; each c-cycle lowers the
+    q-weight by c/q).  Any other survivor is scanned, up to the first
+    nonzero value, against the singular labels in enumeration order, kept as
+    bare masks in a prefix that grows only as far as a scan reaches.  A scan
+    stops after as many labels as there are p'-labels, and column
+    orthogonality decides instead: sum chi(beta)^2 over all labels is the
+    centralizer order, so the class vanishes exactly when its p'-labels
+    alone make up that sum.  The column scans reuse each other's values
+    through the _char memo.
     """
     ctx = p_adic_context(n, p)
-    two, hook, bias = _tier_masks(ctx)
-    S = n + 2
-    divisor = (1 << S) + 1
-    masks = []
-    undecided = []
-    for beta, mask, c, h in _walk(n):
-        if _mask_singular(mask, ctx):
-            masks.append(mask)
-        if not ((c ^ (c << S)) & two or ((h // divisor + bias) ^ bias) & hook):
-            undecided.append(beta)
+    pprime = _pprime_masks(n, p)
     uncached = _char.__wrapped__
-    return tuple(
-        beta
-        for beta in undecided
-        if is_p_adic_type(beta, ctx) or not any(uncached(mask, beta) for mask in masks)
-    )
+    masks: list[int] = []  # the singular labels that a scan has reached
+
+    def singular() -> Iterator[int]:  # enumerates nothing until a scan needs a label
+        yield from (m for m in map(_beta_mask, enumerate_partitions(n)) if m not in pprime)
+
+    labels = singular()
+
+    def vanishes(beta: Partition) -> bool:
+        if is_p_adic_type(beta, ctx):
+            return True
+        for i in range(len(pprime)):
+            if i == len(masks):
+                mask = next(labels, None)
+                if mask is None:
+                    return True
+                masks.append(mask)
+            if uncached(masks[i], beta):
+                return False
+        return sum(uncached(mask, beta) ** 2 for mask in pprime) == centralizer_order(beta)
+
+    return tuple(filter(vanishes, _undecided(n, p)))
 
 
 @cache

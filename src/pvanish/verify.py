@@ -26,7 +26,8 @@ from .characters import (
     merged_cycle_type,
 )
 from .padic import SINGULARITY_METHODS, is_p_singular, p_adic_context
-from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions, r_decompose
+from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions
+from .partitions import partition_count, r_decompose
 from .vanishing import (
     audit_vanishing_structure,
     conjecture_sweep,
@@ -352,7 +353,7 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
             continue
         sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n)
         # every class of every S_n is classified, once
-        res.checks += sum(1 for s in sweep.scans for _ in enumerate_partitions(s.n))
+        res.checks += sum(partition_count(s.n) for s in sweep.scans)
         res.violations.extend({**c, "p": p} for c in sweep.counterexamples)
         if not sweep.equivalence_consistent:
             res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})

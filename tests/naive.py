@@ -4,8 +4,9 @@ Everything here is deliberately naive and self-contained (no package
 imports): hook lengths by direct cell counting, rim-hook removal by the
 row-sliding rule on row lengths, character values by the plain
 Murnaghan-Nakayama recursion over those removals, induced characters by
-handing out each cycle to a component, partition counting by the
-pentagonal recurrence, the r-sign by simulating bead moves one at a time,
+handing out each cycle to a component, the two-row and hook values from
+two plain coefficient lists, partition counting by the pentagonal
+recurrence, the r-sign by simulating bead moves one at a time,
 the r-weight both from the abacus runners and by counting hook lengths, and
 hardcoded small character tables from standard references.
 A bug in the package cannot leak into these.
@@ -166,6 +167,30 @@ def naive_weight(alpha: tuple[int, ...], r: int) -> int:
 def naive_hook_weight(alpha: tuple[int, ...], r: int) -> int:
     """The r-weight as the number of cells whose hook length r divides."""
     return sum(1 for row in naive_hook_lengths(alpha) for h in row if h % r == 0)
+
+
+def naive_two_row_and_hook_values(beta: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """chi^(n-k,k) for k <= n/2 and chi^(n-k,1^k) for k < n on the class beta.
+
+    c = prod (1 + x^a) over the cycles a counts the k-sets that an element
+    of the class fixes, and chi^(n-k,k) = c_k - c_(k-1) (Young's rule);
+    h = prod (1 - (-x)^a) is (1 + x) times sum_k chi^(n-k,1^k) x^k
+    (Macdonald 1995, ch. I).  Both are full coefficient lists, one cycle at
+    a time.
+    """
+    n = sum(beta)
+    c = [1] + [0] * n
+    h = [1] + [0] * n
+    for a in beta:
+        sign = 1 if a % 2 else -1
+        for k in range(n, a - 1, -1):
+            c[k] += c[k - a]
+            h[k] += sign * h[k - a]
+    two_row = [c[k] - (c[k - 1] if k else 0) for k in range(n // 2 + 1)]
+    hook: list[int] = []
+    for k in range(n):
+        hook.append(h[k] - (hook[-1] if k else 0))
+    return two_row, hook
 
 
 def partition_count(n: int) -> int:

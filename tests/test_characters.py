@@ -542,6 +542,7 @@ def test_clear_caches_recomputes_identically():
     list_p_vanishing(p_adic_context(8, 3), audit=True)
     nonvanishing_witness((3, 3, 2), 3)
     character_table(4)
+    induced_character_values(((2, 1), (1,)))
     tables = _memo_tables()
     assert {"characters._char", "padic._pprime_masks"} <= set(tables)
     assert not hasattr(partitions._beta_mask, "cache_info")

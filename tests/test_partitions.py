@@ -16,6 +16,7 @@ from naive import (
     naive_rim_removals,
     partition_count,
 )
+from pvanish import partitions
 from pvanish.partitions import (
     MAX_PARTITION_SIZE,
     as_partition,
@@ -382,6 +383,15 @@ def test_enumeration_count_matches_pentagonal_recurrence(n):
 
 def test_partition_count_known_value():
     assert partition_count(30) == 5604
+
+
+def test_partition_count_matches_pentagonal_recurrence():
+    # the package adds part sizes one at a time; the oracle is Euler's recurrence
+    counts = [partitions.partition_count(n) for n in range(101)]
+    assert counts == list(map(partition_count, range(101)))
+    assert partitions.partition_count(100) == 190_569_292
+    with pytest.raises(ValueError):
+        partitions.partition_count(-1)
 
 
 @pytest.mark.parametrize("n", range(0, 15))

@@ -6,11 +6,18 @@ import json
 from functools import cache
 
 import pytest
+from naive import naive_two_row_and_hook_values
 
 import pvanish
 from pvanish import characters, vanishing
 from pvanish.characters import character_value
-from pvanish.padic import is_p_adic_type, is_p_singular, p_adic_context, p_adic_type_classes
+from pvanish.padic import (
+    degree_valuation,
+    is_p_adic_type,
+    is_p_singular,
+    p_adic_context,
+    p_adic_type_classes,
+)
 from pvanish.partitions import _beta_mask, enumerate_partitions
 from pvanish.vanishing import (
     _singular_masks,
@@ -140,41 +147,16 @@ def test_one_flag_table_per_sweep():
 
 
 def test_sweep_keeps_no_label_table():
-    # the walk's singular masks live only for the walk; a clean hunt
-    # reports no class, so it never fills the shared one
+    # the survivor scans keep their singular masks only for the call; a
+    # clean hunt reports no class, so it never fills the shared table
     pvanish.clear_caches()
     assert conjecture_sweep(5, range(25)).counterexamples == []
     assert _singular_masks.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
-# the closed-form tiers of the flag walk
+# the pruned class search and the decision of its survivors
 # ---------------------------------------------------------------------------
-
-
-def _two_row_values(n, c):
-    """chi^(n-k,k) = c_k - c_(k-1) for k <= n/2, read off the packed c."""
-    S = n + 2
-    coeff = [(c >> (S * k)) & ((1 << S) - 1) for k in range(n // 2 + 1)]
-    return [coeff[k] - (coeff[k - 1] if k else 0) for k in range(n // 2 + 1)]
-
-
-def _hook_values(n, h):
-    """chi^(n-k,1^k) for k < n: the signed slots of h / (1 + x), low slot first."""
-    if not n:
-        return []  # S_0 has no hook label, and h = 1
-    S = n + 2
-    quotient, remainder = divmod(h, (1 << S) + 1)
-    assert remainder == 0
-    values = []
-    for _ in range(n):
-        slot = quotient & ((1 << S) - 1)
-        if slot >= 1 << (S - 1):
-            slot -= 1 << S
-        values.append(slot)
-        quotient = (quotient - slot) >> S
-    assert quotient == 0
-    return values
 
 
 def _two_row(n, k):
@@ -185,38 +167,75 @@ def _hook(n, k):
     return (n - k,) + (1,) * k
 
 
+def _tier_labels(n, p):
+    """(k, two-row singular, hook singular) for k <= n/2, by the degree's valuation."""
+    return [
+        (k, degree_valuation(_two_row(n, k), p) > 0, degree_valuation(_hook(n, k), p) > 0)
+        for k in range(n // 2 + 1)
+    ]
+
+
 def test_closed_forms_match_character_values():
+    # the identities the search cuts by, against Murnaghan-Nakayama
     checked = 0
     for n in range(17):
-        for beta, _, c, h in vanishing._walk(n):
-            for k, value in enumerate(_two_row_values(n, c)):
+        for beta in enumerate_partitions(n):
+            two_row, hook = naive_two_row_and_hook_values(beta)
+            for k, value in enumerate(two_row):
                 assert value == character_value(_two_row(n, k), beta), (n, k, beta)
-            for k, value in enumerate(_hook_values(n, h)):
+            for k, value in enumerate(hook):
                 assert value == character_value(_hook(n, k), beta), (n, k, beta)
             checked += 1
     assert checked == sum(1 for n in range(17) for _ in enumerate_partitions(n))
 
 
-def test_slots_hold_the_degrees_at_n_40():
-    # on 1^40 every value is a degree, the largest a slot ever holds; the
-    # degrees come from the hook length formula, not from the walk
-    *_, (beta, _, c, h) = vanishing._walk(40)
-    assert beta == (1,) * 40
-    assert _two_row_values(40, c) == [characters.degree(_two_row(40, k)) for k in range(21)]
-    assert _hook_values(40, h) == [characters.degree(_hook(40, k)) for k in range(40)]
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_undecided_are_the_zeros_of_the_singular_two_row_and_hook_labels(p):
+    for n in range(17):
+        labels = [
+            alpha
+            for alpha in {_two_row(n, k) for k in range(n // 2 + 1)}
+            | {_hook(n, k) for k in range(n)}
+            if degree_valuation(alpha, p) > 0
+        ]
+        oracle = [
+            beta
+            for beta in enumerate_partitions(n)
+            if all(character_value(alpha, beta) == 0 for alpha in labels)
+        ]
+        assert vanishing._undecided(n, p) == oracle, n
 
 
-def test_walk_matches_enumeration_and_masks():
+def test_undecided_matches_the_closed_forms_to_n_30():
+    # past the reach of character_value, the packed slots against plain
+    # coefficient lists; 1^n puts the degrees, the largest values, in them
+    tiers = {(n, p): _tier_labels(n, p) for n in range(17, 31) for p in (2, 3, 5, 7, 11, 13)}
+    for n in range(17, 31):
+        values = [(beta, naive_two_row_and_hook_values(beta)) for beta in enumerate_partitions(n)]
+        for p in (2, 3, 5, 7, 11, 13):
+            oracle = [
+                beta
+                for beta, (two_row, hook) in values
+                if not any(
+                    two and two_row[k] or singular_hook and hook[k]
+                    for k, two, singular_hook in tiers[n, p]
+                )
+            ]
+            assert vanishing._undecided(n, p) == oracle, (n, p)
+
+
+def test_search_without_singular_labels_lists_every_class():
+    # for p > n every label is a p'-label, so nothing is cut: the search
+    # lists each partition once, in enumeration order
     for n in range(31):
-        walked = [(alpha, mask) for alpha, mask, _, _ in vanishing._walk(n)]
-        assert [alpha for alpha, _ in walked] == list(enumerate_partitions(n))
-        assert all(mask == _beta_mask(alpha) for alpha, mask in walked)
+        p = next(q for q in range(n + 2, 2 * n + 4) if all(q % d for d in range(2, q)))
+        assert vanishing._undecided(n, p) == list(enumerate_partitions(n)), n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_tier_flags_match_the_column_scan(p):
     # every class through the unpruned nonvanishing_witness scan, against the
-    # walk's tiers, p-adic-type skip and scan, on fresh caches
+    # search's cuts, p-adic-type skip, scan and orthogonality, on fresh caches
     for n in range(25):
         pvanish.clear_caches()
         oracle = [beta for beta in enumerate_partitions(n) if nonvanishing_witness(beta, p) is None]
@@ -224,17 +243,43 @@ def test_tier_flags_match_the_column_scan(p):
         assert list(vanishing_classes(n, p)) == oracle, n
 
 
-def test_flag_walk_fills_the_label_table_once(monkeypatch):
-    # the walk keeps the singular masks it walks past, so it neither
-    # enumerates the partitions again nor fills the shared label table
+def test_survivor_scan_fills_no_label_table(monkeypatch):
+    # the 31 survivors of (17, 3) that are not of p-adic type share one
+    # prefix of singular labels, local to the call: the partitions are
+    # enumerated once, and the shared label table stays empty
     pvanish.clear_caches()
-    monkeypatch.setattr(vanishing, "enumerate_partitions", None)
-    classes = vanishing_classes(18, 3)
+    calls = []
+    real = vanishing.enumerate_partitions
+    monkeypatch.setattr(vanishing, "enumerate_partitions", lambda n: calls.append(n) or real(n))
+    classes = vanishing_classes(17, 3)
     monkeypatch.undo()
+    assert calls == [17]
     assert _singular_masks.cache_info().currsize == 0
     assert list(classes) == [
-        b for b in enumerate_partitions(18) if nonvanishing_witness(b, 3) is None
+        b for b in enumerate_partitions(17) if nonvanishing_witness(b, 3) is None
     ]
+
+
+def test_orthogonality_decides_the_scans_that_reach_the_cap(monkeypatch):
+    # a scan stops after as many singular labels as there are p'-labels,
+    # and the centralizer order decides; each such verdict must be the
+    # plain scan's
+    pvanish.clear_caches()
+    decided = []
+    real = vanishing.centralizer_order
+    monkeypatch.setattr(
+        vanishing, "centralizer_order", lambda beta: decided.append(beta) or real(beta)
+    )
+    fired = set()
+    for p in (2, 3):
+        for n in range(25):
+            before = len(decided)
+            classes = vanishing_classes(n, p)
+            for beta in decided[before:]:
+                fired.add((n, p))
+                assert (beta in classes) == (nonvanishing_witness(beta, p) is None), (n, p, beta)
+    assert {n for n, p in fired if p == 2} == {10, 12, 14, 18, 20, 22}
+    assert {n for n, p in fired if p == 3} == {12, 14, 15, 21, 23, 24}
 
 
 def _no_evaluation(mask, cycles):
@@ -242,8 +287,8 @@ def _no_evaluation(mask, cycles):
 
 
 def test_p_adic_type_classes_skip_the_scan(monkeypatch):
-    # at (23, 5) the tiers leave 15 classes, all of p-adic type, so the walk
-    # decides every class without one character evaluation
+    # at (23, 5) the search leaves 15 classes, all of p-adic type, so every
+    # class is decided without one character evaluation
     oracle = [beta for beta in enumerate_partitions(23) if nonvanishing_witness(beta, 5) is None]
     assert len(p_adic_type_classes(p_adic_context(23, 5))) == 15
     pvanish.clear_caches()
@@ -251,9 +296,18 @@ def test_p_adic_type_classes_skip_the_scan(monkeypatch):
     assert list(vanishing_classes(23, 5)) == oracle
 
 
+def test_frontier_class_set_needs_no_enumeration(monkeypatch):
+    # both survivors of (55, 5) have p-adic type: no partition of 55 is
+    # listed and no character is evaluated
+    pvanish.clear_caches()
+    monkeypatch.setattr(vanishing, "_char", cache(_no_evaluation))
+    monkeypatch.setattr(vanishing, "enumerate_partitions", _no_evaluation)
+    assert vanishing_classes(55, 5) == ((50, 5), (25, 25, 5))
+
+
 def test_tiers_decide_almost_every_class():
-    # the two-row and hook tiers leave 3 of the 1,575 classes of S_24 to the
-    # column scan at p = 2, so the scan's memo stays small; a tier that is
+    # the two-row and hook cuts leave 3 of the 1,575 classes of S_24 to the
+    # column scan at p = 2, so the scan's memo stays small; a cut that is
     # bypassed keeps the classes right but fills it with thousands of entries
     pvanish.clear_caches()
     vanishing_classes(24, 2)
