@@ -7,9 +7,6 @@ structure and singularity), characters (recursive evaluation), vanishing
 cli (command line).
 """
 
-from . import characters as _characters
-from . import padic as _padic
-from . import vanishing as _vanishing
 from .characters import (
     CharacterTable,
     centralizer_order,
@@ -53,6 +50,7 @@ from .vanishing import (
     audit_vanishing_structure,
     base_vanishing_table,
     check_conjectures,
+    clear_caches,
     conjecture_sweep,
     is_p_vanishing_structural,
     list_p_vanishing,
@@ -62,15 +60,6 @@ from .vanishing import (
 )
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Reset every memo table in the package (mainly for benchmarks and tests)."""
-    _vanishing.clear_caches()
-    _characters.clear_caches()
-    _padic.p_adic_context.cache_clear()
-    _padic._pprime_masks.cache_clear()
-
 
 __all__ = [
     "CharacterTable",

@@ -232,11 +232,3 @@ def character_table(n: int) -> CharacterTable:
         for mask in map(_beta_mask, labels)
     )
     return CharacterTable(n=n, labels=labels, values=values)
-
-
-def clear_caches() -> None:
-    """Drop the process-wide character memo tables."""
-    _char.cache_clear()
-    _multi.cache_clear()
-    _column.cache_clear()
-    _nonzero_row.cache_clear()

@@ -27,7 +27,7 @@ against the singular labels in enumeration order, as far as the number of
 p'-labels, and column orthogonality decides a scan that gets that far.  The
 oracle, nonvanishing_witness, scans every singular label and depends on
 none of the cuts, the skip or the orthogonality.
-The reports build the p-adic-type and structural classes they compare with
+The reports and the suffix-reduction audit build the classes they compare
 directly, and rescan for a witness only a class that they report.
 
 For p >= 5 the classification is conjectural; scan functions hunt for
@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .characters import _char, centralizer_order
+from .characters import _char, _column, _multi, _nonzero_row, centralizer_order
 from .padic import (
     PAdicContext,
     _mask_singular,
@@ -49,7 +49,13 @@ from .padic import (
     p_adic_context,
     p_adic_type_classes,
 )
-from .partitions import Partition, _beta_mask, _mask_partition, enumerate_partitions
+from .partitions import (
+    Partition,
+    _beta_mask,
+    _mask_partition,
+    enumerate_partitions,
+    partition_count,
+)
 
 DEFAULT_SWEEP_LIMIT = 30
 
@@ -326,16 +332,6 @@ def _check_min_part(beta: Partition, p: int, t: int) -> bool:
     return len(beta) >= 4 and beta[-3:] == (2, 1, 1) and beta[-4] >= 4
 
 
-def _suffix_reduction_holds(beta: Partition, p: int, m: int, whole: bool) -> bool:
-    """Whether beta's parts below p^m share beta's vanishing flag, whole."""
-    q = p**m
-    cut = sum(1 for c in beta if c >= q)
-    if cut == 0:
-        return True  # the tail is beta itself
-    tail = beta[cut:]
-    return (tail in vanishing_classes(sum(tail), p)) == whole
-
-
 def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool | None:
     """Compare vanishing status of beta and of its parts below p^m.
 
@@ -350,7 +346,9 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
         raise ValueError(f"level must be >= 0, got {m}")
     if m < _type_level(beta, ctx):
         return None
-    return _suffix_reduction_holds(beta, ctx.p, m, beta in vanishing_classes(ctx.n, ctx.p))
+    tail = tuple(c for c in beta if c < ctx.p**m)
+    whole = beta in vanishing_classes(ctx.n, ctx.p)
+    return (tail in vanishing_classes(sum(tail), ctx.p)) == whole
 
 
 class StructureAudit:
@@ -400,6 +398,12 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
                              vanishing ones)
     Failures under a hypothesis the facts do not cover are recorded as
     informational, not as violations.
+
+    Suffix reduction at level m <= k applies exactly to the classes p^m gamma
+    + tau, built here: gamma of p-adic type for div(m), tau any partition of
+    rem(m) < p^m.  At m = k + 1 every class is its own tail, so that level
+    adds p(n) to the count and is never listed.  Violations come by class in
+    enumeration order, then by m, as suffix_reduction_check finds them.
     """
     n, p, k = ctx.n, ctx.p, ctx.k
     vanishing = vanishing_classes(n, p)
@@ -464,16 +468,21 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
                 if not _check_min_part(beta, p, t):
                     flag(audit.violations, "min_part", beta, t=t)
 
-    # one walk over the levels per class gives every m the check applies at
-    applicable = 0
+    applicable = partition_count(n)
     vanishing_set = set(vanishing)
-    for beta in enumerate_partitions(n):
-        low = _type_level(beta, ctx)
-        applicable += k + 2 - low
-        whole = beta in vanishing_set
-        for m in range(low, k + 2):
-            if not _suffix_reduction_holds(beta, p, m, whole):
-                flag(audit.violations, "suffix_reduction", beta, m=m)
+    failed = []
+    for m in range(k + 1):
+        gammas = p_adic_type_classes(p_adic_context(ctx.div(m), p))
+        rem = ctx.rem(m)
+        tails = set(vanishing_classes(rem, p))
+        applicable += len(gammas) * partition_count(rem)
+        for gamma in gammas:
+            head = tuple(p**m * c for c in gamma)
+            for tau in enumerate_partitions(rem):
+                if (head + tau in vanishing_set) != (tau in tails):
+                    failed.append((head + tau, m))
+    for beta, m in sorted(failed, key=lambda v: (v[0], -v[1]), reverse=True):
+        flag(audit.violations, "suffix_reduction", beta, m=m)
     audit.checked["suffix_reduction"] = applicable
 
     return audit
@@ -671,12 +680,16 @@ class ConjectureSweep(NamedTuple):
 def conjecture_sweep(
     p: int, ns: range | list[int], *, limit: int | None = None
 ) -> ConjectureSweep:
-    scans = [check_conjectures(p_adic_context(n, p), limit=limit) for n in ns]
+    """Scan each n in turn, then clear_caches(), which drops a caller's tables too."""
+    scans = []
+    for n in ns:
+        scans.append(check_conjectures(p_adic_context(n, p), limit=limit))
+        clear_caches()
     return ConjectureSweep(p=p, scans=scans)
 
 
 def clear_caches() -> None:
-    """Drop the sweep-level memo tables."""
-    _singular_masks.cache_clear()
-    vanishing_classes.cache_clear()
-    base_vanishing_table.cache_clear()
+    """Drop every memo table in the package; this module holds the one list of them."""
+    for table in (p_adic_context, _pprime_masks, _char, _multi, _column, _nonzero_row,
+                  _singular_masks, vanishing_classes, base_vanishing_table):
+        table.cache_clear()

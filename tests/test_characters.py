@@ -20,7 +20,7 @@ from naive import (
     naive_induced_value,
 )
 import pvanish
-from pvanish import characters, partitions, verify
+from pvanish import characters, partitions, vanishing, verify
 from pvanish.characters import (
     TABLE_GUARD,
     _multi,
@@ -41,7 +41,7 @@ from pvanish.partitions import (
     r_decompose,
     r_weight,
 )
-from pvanish.vanishing import list_p_vanishing, nonvanishing_witness
+from pvanish.vanishing import conjecture_sweep, list_p_vanishing, nonvanishing_witness
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -551,3 +551,14 @@ def test_clear_caches_recomputes_identically():
     pvanish.clear_caches()
     assert {name: t.cache_info().currsize for name, t in tables.items()} == dict.fromkeys(tables, 0)
     assert character_value((4, 3, 1), (3, 3, 2)) == before
+
+
+def test_a_sweep_holds_one_n_and_leaves_every_table_empty():
+    # vanishing holds the one list of memo tables, and a conjecture sweep
+    # clears them after each n, with the table a caller built before it
+    assert pvanish.clear_caches is vanishing.clear_caches
+    assert not hasattr(characters, "clear_caches")
+    character_table(4)
+    conjecture_sweep(5, range(30))
+    tables = _memo_tables()
+    assert {name: t.cache_info().currsize for name, t in tables.items()} == dict.fromkeys(tables, 0)

@@ -432,10 +432,12 @@ def test_json_output_matches_reference_digest(capsys, command):
 # two levels of the weight bound (q = 5, 25) at p = 5, and a larger prime; of
 # audited sweeps at a size and a prime the references do not cover (k = 2 at
 # p = 5) and at n = 36 for p = 2, 3, with a p = 7 hunt at n = 40, sizes where
-# the closed-form tiers decide almost every class; of the two verify suites
-# that read the brute-force flag table; and of multichar and factorization at
-# their `verify --suite all` bounds, which the references run lower; every
-# verify output with its wall-clock "elapsed" zeroed as in the references
+# the closed-form tiers decide almost every class, and over n <= 50 at p = 2
+# and n <= 40 at p = 3, where the audit's classes must be built, not listed;
+# of the two verify suites that read the brute-force flag table; and of
+# multichar and factorization at their `verify --suite all` bounds, which the
+# references run lower; every verify output with its wall-clock "elapsed"
+# zeroed as in the references
 PINNED_DIGESTS = {
     "vanishing --p 5 --n 35 --limit 35 --check-conjecture --json": (
         "cb9483e1271a545c23562d5477bbb921d593af4f7632bb6a1f9e20698b8d48e0"
@@ -454,6 +456,12 @@ PINNED_DIGESTS = {
     ),
     "vanishing --p 3 --n 36 --limit 36 --audit --json": (
         "e30d5ed539fcff98842aac74c6855c6a09fc20c0da1743c90bdf1f004a112d84"
+    ),
+    "vanishing --p 2 --n 0..50 --limit 50 --audit --json": (
+        "a4c2f6c0af7ba42b0c798824ecbeb626811f8515dbfa9f1946cc274bf6c1b01a"
+    ),
+    "vanishing --p 3 --n 0..40 --limit 40 --audit --json": (
+        "e9b85d9c449724c2adb157f84d2de60b2d8028971aad81590abf6b44071a81b6"
     ),
     "vanishing --p 7 --n 40 --limit 40 --check-conjecture --json": (
         "9b52c56ee2ac67d3f68ed83ec6f1317bf0724423902162ceb500a15571452005"

@@ -18,7 +18,7 @@ from pvanish.padic import (
     p_adic_context,
     p_adic_type_classes,
 )
-from pvanish.partitions import _beta_mask, enumerate_partitions
+from pvanish.partitions import _beta_mask, enumerate_partitions, partition_count
 from pvanish.vanishing import (
     _singular_masks,
     DEFAULT_SWEEP_LIMIT,
@@ -150,7 +150,8 @@ def test_sweep_keeps_no_label_table():
     # the survivor scans keep their singular masks only for the call; a
     # clean hunt reports no class, so it never fills the shared table
     pvanish.clear_caches()
-    assert conjecture_sweep(5, range(25)).counterexamples == []
+    for n in range(25):
+        assert check_conjectures(p_adic_context(n, 5)).counterexamples == []
     assert _singular_masks.cache_info().currsize == 0
 
 
@@ -572,6 +573,46 @@ def test_suffix_reduction_audit_reports_a_mutated_tail_flag(monkeypatch):
     _flip_flag(monkeypatch, 3, 2, (2, 1))
     audit = audit_vanishing_structure(p_adic_context(7, 2))
     assert _suffix_levels_reported(audit, (4, 2, 1)) == [2]
+
+
+def test_suffix_reduction_audit_lists_by_class_then_level(monkeypatch):
+    # the audit builds level by level, but (4, 3), which applies at m = 2
+    # only, precedes (4, 2, 1), which applies at m = 0, 1, 2, as it does
+    # in a check of one class at a time
+    _flip_flag(monkeypatch, 7, 2, (4, 3))
+    _flip_flag(monkeypatch, 7, 2, (4, 2, 1))
+    ctx = p_adic_context(7, 2)
+    per_class = [
+        {"predicate": "suffix_reduction", "beta": list(beta), "m": m}
+        for beta in enumerate_partitions(7)
+        for m in range(ctx.k + 2)
+        if suffix_reduction_check(beta, ctx, m) is False
+    ]
+    assert [(v["beta"], v["m"]) for v in per_class] == [
+        ([4, 3], 2),
+        ([4, 2, 1], 0),
+        ([4, 2, 1], 1),
+        ([4, 2, 1], 2),
+    ]
+    audit = audit_vanishing_structure(ctx)
+    assert [v for v in audit.violations if v["predicate"] == "suffix_reduction"] == per_class
+
+
+def test_suffix_reduction_audit_lists_no_partition_of_n(monkeypatch):
+    # p(100) = 190,569,292: the audit lists only partitions of the
+    # remainders 100 mod 2^m, 0 at m <= 2, 4 at m = 3..5 and 36 at m = 6, each
+    # under one head (100 is 1100100 in base 2), and counts level 7 as p(100)
+    vanishing_classes(100, 2)
+    real = vanishing.enumerate_partitions
+
+    def below_100(n):
+        assert n < 100, "a partition of 100 was listed"
+        return real(n)
+
+    monkeypatch.setattr(vanishing, "enumerate_partitions", below_100)
+    audit = audit_vanishing_structure(p_adic_context(100, 2))
+    assert audit.passed
+    assert audit.checked["suffix_reduction"] == partition_count(100) + 3 * 1 + 3 * 5 + 17_977
 
 
 # ---------------------------------------------------------------------------
