@@ -8,7 +8,7 @@ are beta-set bitmasks (partitions._beta_mask) inside the recursion, and the
 memo key is (remaining label's mask, remaining cycle parts), so the cache is
 shared across queries whenever class suffixes coincide; vanishing sweeps hit
 the same suffixes over and over.  The vanishing column scans
-(vanishing.vanishing_classes and vanishing.nonvanishing_witness) keep the
+(vanishing.vanishing_classes and vanishing.nonvanishing_witness) read the
 singular labels as bare masks and call the uncached body _char.__wrapped__
 for each top-level (label mask, class) pair: a sweep evaluates that pair
 once, so storing it would only grow the table, while every deeper pair
@@ -37,9 +37,11 @@ tuples that differ only in order or in empty components share their entries.
 That quantity equals the character induced from an outer tensor product over
 a Young subgroup, which induced_character_values computes by a different route
 for cross-checking: it reads each component's row of nonzero values, built
-once per label with _char (_nonzero_row), and walks the product of those
-rows, adding each combination of component classes, with its multinomial
-weight, to the class they merge into.
+once per label from the columns of _column (_nonzero_row), and walks the
+product of those rows, adding each combination of component classes, with
+its multinomial weight, to the class they merge into.  The rows come from
+rim-hook addition and _multi from rim-hook removal, so a fault in either
+engine shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ def induced_character_values(labels: tuple[Partition, ...]) -> dict[Partition, i
     the k-cycles of lam out to the components.  Each component's row, its
     nonzero values chi_i(mu_i) with mu_i over enumerate_partitions, comes
     from _nonzero_row, and every combination of row entries adds one term
-    to its merged class.  Nothing here goes through _multi, so this stays an
-    independent check of it.
+    to its merged class.  Nothing here goes through _multi or removes a rim
+    hook, so this stays an independent check of it.
     """
     rows = [_nonzero_row(_beta_mask(alpha), sum(alpha)) for alpha in labels]
     values: dict[Partition, int] = {}
@@ -168,12 +170,13 @@ def induced_character_values(labels: tuple[Partition, ...]) -> dict[Partition, i
 def _nonzero_row(mask: int, m: int) -> tuple[tuple[Partition, int, int], ...]:
     """(mu, chi(mu), prod_k m_k(mu)!) for each class mu of S_m, in order, with chi(mu) != 0.
 
-    chi is labelled by this beta mask; a label recurs across a suite's tuples.
+    chi is labelled by this beta mask and read from the column of mu, built
+    by hook addition; a label recurs across a suite's tuples.
     """
     return tuple(
         (mu, chi, _multiplicity_factorials(mu))
         for mu in enumerate_partitions(m)
-        if (chi := _char(mask, mu))
+        if (chi := _column(mu).get(mask))
     )
 
 

@@ -228,7 +228,7 @@ def is_p_singular(alpha: Partition, ctx: PAdicContext, method: str = "b_invarian
 
     Four equivalent tests are available:
       b_invariants  some weight digit differs from the matching digit of n,
-                    read off the beta mask by the sweep's filter, _mask_singular
+                    read off the beta mask by the oracle's filter, _mask_singular
       hooks         the label is not a p'-label built by hook addition (_pprime_masks)
       character     the character vanishes on the canonical p-adic class
       degree        p divides the degree (via valuations, no big integers)

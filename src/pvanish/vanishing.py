@@ -4,14 +4,14 @@ A cycle type beta of S_n is p-vanishing when every irreducible character of
 degree divisible by p vanishes on it.  The brute-force oracle checks exactly
 that, scanning every p-singular label in enumeration order with early exit
 on the first witness; the p-singular filter, padic._mask_singular, reads
-each label's weight digits off its beta mask by popcount, and the scan
-keeps only the masks, never the partitions.  For p = 2 and p = 3 there is
-also a structural classifier: split beta into a head of parts >= p^r that
-must form a p-adic-type partition of div(r) * p^r and a tail that must be a
-p-vanishing cycle type of the remainder rem(r) < p^r, where r = 3 for p = 2
-and r = 2 for p = 3.  The tail lands below p^r, so a fixed table of small
-cases closes the recursion.  The two classifiers are kept independent and
-compared over full sweeps.
+each label's weight digits off its beta mask by popcount, and the labels
+are enumerated lazily, as far as the witness, and never kept.  For p = 2
+and p = 3 there is also a structural classifier: split beta into a head of
+parts >= p^r that must form a p-adic-type partition of div(r) * p^r and a
+tail that must be a p-vanishing cycle type of the remainder rem(r) < p^r,
+where r = 3 for p = 2 and r = 2 for p = 3.  The tail lands below p^r, so a
+fixed table of small cases closes the recursion.  The two classifiers are
+kept independent and compared over full sweeps.
 
 Each (n, p) is classified once per process: vanishing_classes, the one memo
 of a sweep, keeps only the vanishing classes.  It never lists the classes
@@ -91,27 +91,20 @@ _BASE_TABLE: dict[int, dict[int, frozenset[Partition]]] = {
 STRUCTURAL_LEVEL = {2: 3, 3: 2}
 
 
-@cache
-def _singular_masks(n: int, p: int) -> tuple[int, ...]:
-    """The beta mask of each p-singular label of S_n, in enumeration order."""
-    ctx = p_adic_context(n, p)
-    masks = map(_beta_mask, enumerate_partitions(n))
-    return tuple(mask for mask in masks if _mask_singular(mask, ctx))
-
-
 def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | None:
     """A p-singular label with nonzero value on beta, or None if beta p-vanishes.
 
-    Not memoized: sweeps read vanishing_classes, and only a reported class
-    has its witness scanned for again.
+    Not memoized, and it keeps no table: sweeps read vanishing_classes, and
+    only a reported class has its witness scanned for again.
 
     The witness is the first such label in enumeration order, found by a
     plain scan of every singular label, so it does not depend on the tiers
-    or on the p-adic-type skip of vanishing_classes.  The scan reads bare
-    masks (_singular_masks keeps no partitions), and only the witness's
-    mask is turned back into a partition.  Each top-level (label, class)
-    pair is used once, so it bypasses the memo; every deeper pair goes
-    through _char and is shared with the other columns.
+    or on the p-adic-type skip of vanishing_classes.  The partitions of n
+    are enumerated lazily, only as far as the witness, and filtered by
+    _mask_singular on their beta masks; only the witness's mask is turned
+    back into a partition.  Each top-level (label,
+    class) pair is used once, so it bypasses the memo; every deeper pair
+    goes through _char and is shared with the other columns.
 
     The class is checked and sorted once per column, before any label is
     tried, so a bad class raises even when S_n has no p-singular label.
@@ -119,10 +112,10 @@ def nonvanishing_witness(beta: Partition, p: int) -> tuple[Partition, int] | Non
     if any(c < 1 for c in beta):
         raise ValueError(f"cycle type parts must be positive: {beta}")
     cycles = tuple(sorted(beta, reverse=True))
+    ctx = p_adic_context(sum(beta), p)
     uncached = _char.__wrapped__
-    for mask in _singular_masks(sum(beta), p):
-        value = uncached(mask, cycles)
-        if value:
+    for mask in map(_beta_mask, enumerate_partitions(ctx.n)):
+        if _mask_singular(mask, ctx) and (value := uncached(mask, cycles)):
             return (_mask_partition(mask), value)
     return None
 
@@ -638,13 +631,14 @@ def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> Conject
     vanishing_set = set(vanishing)
     for beta in p_adic_type_classes(ctx):
         if beta not in vanishing_set:
-            # reported, so its witness is scanned for again
-            alpha, value = nonvanishing_witness(beta, ctx.p)
+            # reported, so its witness is scanned for again; the oracle may
+            # find none if it disagrees with the sweep
+            witness = nonvanishing_witness(beta, ctx.p)
             scan.missed_types.append(
                 {
                     "kind": "p_adic_type_not_vanishing",
                     "beta": list(beta),
-                    "witness": [list(alpha), value],
+                    "witness": [list(witness[0]), witness[1]] if witness else None,
                 }
             )
     return scan
@@ -691,5 +685,5 @@ def conjecture_sweep(
 def clear_caches() -> None:
     """Drop every memo table in the package; this module holds the one list of them."""
     for table in (p_adic_context, _pprime_masks, _char, _multi, _column, _nonzero_row,
-                  _singular_masks, vanishing_classes, base_vanishing_table):
+                  vanishing_classes, base_vanishing_table):
         table.cache_clear()

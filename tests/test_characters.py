@@ -390,6 +390,26 @@ def test_multichar_suite_small():
     assert result.passed and result.checks > 0
 
 
+def test_multichar_suite_flags_a_fault_in_hook_removal(monkeypatch):
+    # every 2-hook removed with the wrong leg parity flips both peel orders
+    # alike, so only the induced side, built by hook addition, can see it
+    real = characters._rim_moves
+
+    def flipped(mask, k):
+        return ((leg ^ (k == 2), new) for leg, new in real(mask, k))
+
+    pvanish.clear_caches()
+    monkeypatch.setattr(characters, "_rim_moves", flipped)
+    try:
+        result = multichar_suite(6)
+    finally:
+        # the mutated values sit in the memo tables
+        monkeypatch.undo()
+        pvanish.clear_caches()
+    assert (result.checks, len(result.violations)) == (4850, 1026)
+    assert all("induced" in v and "smallest_first" not in v for v in result.violations)
+
+
 @given(partition_pairs_st(max_n=12))
 def test_single_component_tuple_matches_plain_value(pair):
     alpha, beta = pair

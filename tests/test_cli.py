@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pvanish
-from pvanish import characters, cli, verify
+from pvanish import characters, cli, vanishing, verify
 from pvanish.vanishing import VanishReport, vanishing_classes
 
 
@@ -293,6 +293,21 @@ def test_counterexample_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "vanishing", "--p", "2", "--n", "4")
     assert code == 1
     assert "COUNTEREXAMPLE" in out
+
+
+def test_missed_type_without_witness_exits_1(capsys, monkeypatch):
+    # a sweep that drops the p-adic-type class (10) disagrees with the
+    # oracle, which finds no witness for it; the scan reports it all the same
+    def dropped(n, p):
+        return tuple(beta for beta in vanishing_classes(n, p) if beta != (10,))
+
+    monkeypatch.setattr(vanishing, "vanishing_classes", dropped)
+    code, out, _ = run(capsys, "vanishing", "--p", "5", "--n", "10", "--check-conjecture", "--json")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["counterexamples"] == [
+        {"kind": "p_adic_type_not_vanishing", "beta": [10], "witness": None}
+    ]
 
 
 # ---------------------------------------------------------------------------

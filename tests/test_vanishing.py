@@ -12,6 +12,7 @@ import pvanish
 from pvanish import characters, vanishing
 from pvanish.characters import character_value
 from pvanish.padic import (
+    _mask_singular,
     degree_valuation,
     is_p_adic_type,
     is_p_singular,
@@ -20,7 +21,6 @@ from pvanish.padic import (
 )
 from pvanish.partitions import _beta_mask, enumerate_partitions, partition_count
 from pvanish.vanishing import (
-    _singular_masks,
     DEFAULT_SWEEP_LIMIT,
     STRUCTURAL_LEVEL,
     audit_vanishing_structure,
@@ -52,17 +52,34 @@ def _degree_singular_labels(n, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", range(0, 15))
 def test_singular_partitions_match_predicate(n, p):
-    # the memo holds bare ints, no partitions, in enumeration order; the
-    # degree method divides hook products and reads no mask
-    masks = _singular_masks(n, p)
-    assert type(masks) is tuple and all(type(mask) is int for mask in masks)
-    assert masks == tuple(map(_beta_mask, _degree_singular_labels(n, p)))
+    # the oracle's filter reads each label's beta mask; the degree method
+    # divides hook products and reads no mask
+    ctx = p_adic_context(n, p)
+    masks = [m for m in map(_beta_mask, enumerate_partitions(n)) if _mask_singular(m, ctx)]
+    assert masks == list(map(_beta_mask, _degree_singular_labels(n, p)))
 
 
 def test_singular_filter_builds_no_decompositions(no_decompositions):
     # the b_invariants test reads r-weights only, never the full record
     pvanish.clear_caches()
-    assert len(_singular_masks(20, 2)) > 0
+    ctx = p_adic_context(20, 2)
+    assert any(_mask_singular(m, ctx) for m in map(_beta_mask, enumerate_partitions(20)))
+
+
+def test_witness_enumerates_only_as_far_as_the_witness(monkeypatch):
+    # (58, 2) is the third label of S_60 and the first 5-singular one that
+    # is nonzero on (59, 1); the scan must not list the other partitions
+    pulled = []
+    real = vanishing.enumerate_partitions
+
+    def counted(n):
+        for alpha in real(n):
+            pulled.append(alpha)
+            yield alpha
+
+    monkeypatch.setattr(vanishing, "enumerate_partitions", counted)
+    assert nonvanishing_witness((59, 1), 5) == ((58, 2), -1)
+    assert len(pulled) <= 3
 
 
 def test_witness_is_singular_with_nonzero_value():
@@ -146,13 +163,16 @@ def test_one_flag_table_per_sweep():
     assert (20,) not in classes and (14, 6) in classes
 
 
-def test_sweep_keeps_no_label_table():
+def test_sweep_keeps_no_label_table(monkeypatch):
     # the survivor scans keep their singular masks only for the call; a
-    # clean hunt reports no class, so it never fills the shared table
+    # clean hunt reports no class, so it never scans for a witness
+    def refuse(*args):
+        raise AssertionError(f"nonvanishing_witness{args} was called")
+
+    monkeypatch.setattr(vanishing, "nonvanishing_witness", refuse)
     pvanish.clear_caches()
     for n in range(25):
         assert check_conjectures(p_adic_context(n, 5)).counterexamples == []
-    assert _singular_masks.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +267,7 @@ def test_tier_flags_match_the_column_scan(p):
 def test_survivor_scan_fills_no_label_table(monkeypatch):
     # the 31 survivors of (17, 3) that are not of p-adic type share one
     # prefix of singular labels, local to the call: the partitions are
-    # enumerated once, and the shared label table stays empty
+    # enumerated once
     pvanish.clear_caches()
     calls = []
     real = vanishing.enumerate_partitions
@@ -255,7 +275,6 @@ def test_survivor_scan_fills_no_label_table(monkeypatch):
     classes = vanishing_classes(17, 3)
     monkeypatch.undo()
     assert calls == [17]
-    assert _singular_masks.cache_info().currsize == 0
     assert list(classes) == [
         b for b in enumerate_partitions(17) if nonvanishing_witness(b, 3) is None
     ]
@@ -680,7 +699,7 @@ def test_vacuous_regime_below_p():
     # n < p: no label is singular, so every class vanishes and every class
     # has p-adic type; the scan must stay silent
     ctx = p_adic_context(4, 7)
-    assert _singular_masks(4, 7) == ()
+    assert all(nonvanishing_witness(beta, 7) is None for beta in enumerate_partitions(4))
     assert vanishing_classes(4, 7) == tuple(enumerate_partitions(4))
     assert check_conjectures(ctx).counterexamples == []
     for beta in enumerate_partitions(4):
