@@ -37,7 +37,7 @@ def main() -> int:
 
     found = 0
     for p in args.p:
-        sweep = conjecture_sweep(p, range(args.max_n + 1), limit=args.max_n)
+        sweep = conjecture_sweep(p, range(args.max_n + 1))
         print(sweep.summary())
         for item in sweep.counterexamples:
             found += 1

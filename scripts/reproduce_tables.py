@@ -28,7 +28,7 @@ def main() -> int:
     for p in (2, 3):
         print(f"p = {p}")
         for n in range(args.max_n + 1):
-            report = list_p_vanishing(p_adic_context(n, p), limit=args.max_n)
+            report = list_p_vanishing(p_adic_context(n, p))
             disagreements += len(report.counterexamples)
             row = "  ".join(
                 format_partition(e.parts) + ("" if e.p_adic_type else "*")

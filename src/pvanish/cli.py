@@ -30,7 +30,10 @@ from .partitions import (
     parse_partition,
     r_decompose,
 )
-from .vanishing import DEFAULT_SWEEP_LIMIT, check_conjectures, list_p_vanishing
+from .vanishing import check_conjectures, list_p_vanishing
+
+# Largest n a vanishing sweep runs without --limit; the library sweeps take no limit.
+DEFAULT_SWEEP_LIMIT = 30
 
 
 def _parse_range(text: str) -> range:
@@ -43,9 +46,10 @@ def _parse_range(text: str) -> range:
 
 
 def _capped(text: str) -> int:
-    """A prime or modulus no larger than MAX_PARTITION_SIZE, checked while parsing.
+    """A prime, modulus or size no larger than MAX_PARTITION_SIZE, checked while parsing.
 
-    Trial division and r-hook displays grow with it; past every size it changes nothing.
+    Trial division, r-hook displays and the digits of n grow with it; past
+    every partition size it changes nothing.
     """
     try:
         value = int(text)
@@ -134,6 +138,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     core = parse_partition(args.core)
     quotient = tuple(parse_partition(part) for part in args.quotient.split(";"))
+    size = sum(core) + args.r * sum(map(sum, quotient))
+    if size > MAX_PARTITION_SIZE:
+        raise ValueError(
+            f"composed partition of size {size} is larger than the cap of {MAX_PARTITION_SIZE}"
+        )
     alpha = from_core_and_quotient(core, quotient, args.r)
     payload = {
         "schema_version": 1,
@@ -210,9 +219,9 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     scans = []
     for n in ns:
         ctx = p_adic_context(n, p)
-        report = list_p_vanishing(ctx, limit=args.limit, audit=args.audit)
+        report = list_p_vanishing(ctx, audit=args.audit)
         if args.check_conjecture:
-            scan = check_conjectures(ctx, limit=args.limit)
+            scan = check_conjectures(ctx)
             report.counterexamples.extend(scan.counterexamples)
             scans.append(scan)
         reports.append(report)
@@ -356,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_quotient)
 
     sub = commands.add_parser("padic", help="base-p digits and derived data for n")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_capped, required=True)
     sub.add_argument("--p", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_padic)

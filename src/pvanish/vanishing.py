@@ -57,8 +57,6 @@ from .partitions import (
     partition_count,
 )
 
-DEFAULT_SWEEP_LIMIT = 30
-
 # Known classification below the structural threshold (n < 8 for p=2,
 # n < 9 for p=3).  base_vanishing_table() recomputes these by brute force on
 # first use and refuses to serve them if anything disagrees.
@@ -517,28 +515,13 @@ class VanishReport(NamedTuple):
         }
 
 
-def _check_sweep_limit(n: int, limit: int | None) -> None:
-    bound = DEFAULT_SWEEP_LIMIT if limit is None else limit
-    if n > bound:
-        raise ValueError(
-            f"sweep at n={n} exceeds the limit ({bound}); pass limit= to opt in"
-        )
-
-
-def list_p_vanishing(
-    ctx: PAdicContext,
-    *,
-    limit: int | None = None,
-    audit: bool = False,
-) -> VanishReport:
+def list_p_vanishing(ctx: PAdicContext, *, audit: bool = False) -> VanishReport:
     """All p-vanishing cycle types of S_n, annotated, in enumeration order.
 
     For p in {2, 3} the vanishing classes are cross-checked against the
     structural ones, and each class in one set but not the other lands in
-    counterexamples, in enumeration order.  Sweeps above the configured
-    limit must opt in explicitly.
+    counterexamples, in enumeration order.
     """
-    _check_sweep_limit(ctx.n, limit)
     vanishing = vanishing_classes(ctx.n, ctx.p)
     structural = ctx.p in STRUCTURAL_LEVEL
     audits: dict = {}
@@ -607,11 +590,10 @@ class ConjectureScan(NamedTuple):
         return f"p={self.p} n={self.n}: {len(self.counterexamples)} counterexample(s)"
 
 
-def check_conjectures(ctx: PAdicContext, *, limit: int | None = None) -> ConjectureScan:
+def check_conjectures(ctx: PAdicContext) -> ConjectureScan:
     """Scan one symmetric group for conjecture counterexamples (p >= 5)."""
     if ctx.p < 5:
         raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
-    _check_sweep_limit(ctx.n, limit)
     a0 = ctx.digit(0)
     vanishing = vanishing_classes(ctx.n, ctx.p)
     scan = ConjectureScan(ctx.n, ctx.p, [], [], [])
@@ -671,13 +653,11 @@ class ConjectureSweep(NamedTuple):
         return f"p={self.p} {ns}: {total} counterexample(s)"
 
 
-def conjecture_sweep(
-    p: int, ns: range | list[int], *, limit: int | None = None
-) -> ConjectureSweep:
+def conjecture_sweep(p: int, ns: range | list[int]) -> ConjectureSweep:
     """Scan each n in turn, then clear_caches(), which drops a caller's tables too."""
     scans = []
     for n in ns:
-        scans.append(check_conjectures(p_adic_context(n, p), limit=limit))
+        scans.append(check_conjectures(p_adic_context(n, p)))
         clear_caches()
     return ConjectureSweep(p=p, scans=scans)
 

@@ -351,7 +351,7 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
     for p in primes:
         if p < 5:
             continue
-        sweep = conjecture_sweep(p, range(max_n + 1), limit=max_n)
+        sweep = conjecture_sweep(p, range(max_n + 1))
         # every class of every S_n is classified, once
         res.checks += sum(partition_count(s.n) for s in sweep.scans)
         res.violations.extend({**c, "p": p} for c in sweep.counterexamples)

@@ -198,8 +198,8 @@ def test_ac8_structure_audits(capsys):
 def test_ac9_conjecture_sweeps(capsys):
     start = time.perf_counter()
     sweeps = [
-        conjecture_sweep(5, range(0, 19), limit=18),
-        conjecture_sweep(7, range(0, 17), limit=16),
+        conjecture_sweep(5, range(0, 19)),
+        conjecture_sweep(7, range(0, 17)),
     ]
     elapsed = time.perf_counter() - start
     counterexamples = [c for s in sweeps for c in s.counterexamples]

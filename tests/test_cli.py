@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -210,12 +211,22 @@ def test_vanishing_deterministic(capsys):
         # full character tables past TABLE_GUARD, refused before they are built
         ("verify", "--suite", "orthogonality", "--max-n", "17"),
         ("verify", "--suite", "conjugation-twist", "--max-n", "17"),
+        # sizes past the cap: a composed partition, and the n of padic
+        ("compose", "--core", "0", "--quotient", "(10000);(0)", "--r", "2"),
+        ("padic", "--n", "10001", "--p", "2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.strip()
+
+
+def test_size_caps_admit_the_cap(capsys):
+    code, out, _ = run(capsys, "compose", "--core", "0", "--quotient", "(5000);(0)", "--r", "2")
+    assert (code, out.strip()) == (0, "(9999,1)")
+    assert run(capsys, "padic", "--n", "10000", "--p", "2")[0] == 0
 
 
 @pytest.mark.parametrize("primes", ["", ","])
@@ -280,7 +291,7 @@ def test_help_exits_0(capsys):
 
 def test_counterexample_exit_1(capsys, monkeypatch):
     # plumbing check only: force one counterexample through the report path
-    def fake_report(ctx, *, limit=None, audit=False):
+    def fake_report(ctx, *, audit=False):
         return VanishReport(
             n=ctx.n,
             p=ctx.p,
@@ -408,10 +419,40 @@ def test_verify_suite_choices_are_the_registry():
 
 
 # ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """Each "$ pvanish ..." line of README.md with the output lines shown under it."""
+    examples: list[tuple[list[str], list[str]]] = []
+    shown = None  # the output lines of the example being read, if any
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith(("```", "$")):
+            shown = None
+            if line.startswith("$ pvanish "):
+                shown = []
+                examples.append((shlex.split(line)[2:], shown))
+        elif shown is not None:
+            shown.append(line)
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = readme_examples()
+    assert {argv[0] for argv, _ in examples} >= {"char", "degree", "decompose", "compose", "padic"}
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()) == (0, shown), argv
+
+
+# ---------------------------------------------------------------------------
 # byte-identical --json output
 # ---------------------------------------------------------------------------
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+REFERENCES = ROOT / "perfbench" / "references.json"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from pvanish.padic import (
 )
 from pvanish.partitions import _beta_mask, enumerate_partitions, partition_count
 from pvanish.vanishing import (
-    DEFAULT_SWEEP_LIMIT,
     STRUCTURAL_LEVEL,
     audit_vanishing_structure,
     base_vanishing_table,
@@ -659,9 +658,9 @@ def test_list_p_vanishing_audit_opt_in():
     }
 
 
-def test_list_p_vanishing_guard():
-    with pytest.raises(ValueError):
-        list_p_vanishing(p_adic_context(DEFAULT_SWEEP_LIMIT + 1, 2))
+def test_list_p_vanishing_takes_no_limit():
+    # the sweep-size guard is the CLI's --limit; the library sweeps any n
+    assert list_p_vanishing(p_adic_context(31, 2)).audits == {"structural_agreement": True}
 
 
 def test_list_p_vanishing_for_large_prime_has_no_split():
@@ -690,9 +689,8 @@ def test_conjecture_scan_rejects_small_primes():
         check_conjectures(p_adic_context(6, 3))
 
 
-def test_conjecture_scan_guard():
-    with pytest.raises(ValueError):
-        check_conjectures(p_adic_context(DEFAULT_SWEEP_LIMIT + 1, 5))
+def test_conjecture_scan_takes_no_limit():
+    assert check_conjectures(p_adic_context(31, 5)).counterexamples == []
 
 
 def test_vacuous_regime_below_p():
