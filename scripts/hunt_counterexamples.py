@@ -15,7 +15,7 @@ import sys
 
 from pvanish.cli import _parse_primes
 from pvanish.padic import p_adic_context
-from pvanish.vanishing import conjecture_sweep
+from pvanish.vanishing import equivalence_consistent, summary, sweep
 
 
 def main() -> int:
@@ -37,12 +37,12 @@ def main() -> int:
 
     found = 0
     for p in args.p:
-        sweep = conjecture_sweep(p, range(args.max_n + 1))
-        print(sweep.summary())
-        for item in sweep.counterexamples:
+        reports = list(sweep(p, range(args.max_n + 1), conjecture=True))
+        print(summary(p, f"n<={args.max_n}", reports))
+        for item in (c for r in reports for c in r.counterexamples):
             found += 1
             print(f"  {item}")
-        if not sweep.equivalence_consistent:
+        if not equivalence_consistent(reports):
             found += 1
             print("  inconsistent: sum bound held but type classification failed")
     return 1 if found else 0

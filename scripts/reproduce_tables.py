@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from pvanish.padic import p_adic_context
 from pvanish.partitions import format_partition
-from pvanish.vanishing import list_p_vanishing
+from pvanish.vanishing import sweep
 
 
 def main() -> int:
@@ -27,14 +26,13 @@ def main() -> int:
     disagreements = 0
     for p in (2, 3):
         print(f"p = {p}")
-        for n in range(args.max_n + 1):
-            report = list_p_vanishing(p_adic_context(n, p))
+        for report in sweep(p, range(args.max_n + 1)):
             disagreements += len(report.counterexamples)
             row = "  ".join(
                 format_partition(e.parts) + ("" if e.p_adic_type else "*")
                 for e in report.vanishing
             )
-            print(f"  n={n:<3d} {row}")
+            print(f"  n={report.n:<3d} {row}")
         print()
     print("(* marks classes that are not of p-adic type)")
     if disagreements:

@@ -3,8 +3,8 @@
 Everything is integer arithmetic on partitions: no floats, no numerics.
 The modules layer cleanly: partitions (combinatorics), padic (base-p
 structure and singularity), characters (recursive evaluation), vanishing
-(classification, audits, conjecture scans), verify (batch sweeps),
-cli (command line).
+(classification, audits, the per-n report and the sweep over n), verify
+(batch sweeps), cli (command line).
 """
 
 from .characters import (
@@ -42,20 +42,17 @@ from .partitions import (
     r_weight,
 )
 from .vanishing import (
-    ConjectureScan,
-    ConjectureSweep,
     StructureAudit,
     VanishEntry,
     VanishReport,
     audit_vanishing_structure,
     base_vanishing_table,
-    check_conjectures,
     clear_caches,
-    conjecture_sweep,
     is_p_vanishing_structural,
     list_p_vanishing,
     structural_split,
     suffix_reduction_check,
+    sweep,
     vanishing_classes,
 )
 
@@ -63,8 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterTable",
-    "ConjectureScan",
-    "ConjectureSweep",
     "PAdicContext",
     "Partition",
     "RDecomposition",
@@ -78,9 +73,7 @@ __all__ = [
     "centralizer_order",
     "character_table",
     "character_value",
-    "check_conjectures",
     "clear_caches",
-    "conjecture_sweep",
     "conjugate",
     "degree",
     "degree_valuation",
@@ -102,6 +95,7 @@ __all__ = [
     "r_weight",
     "structural_split",
     "suffix_reduction_check",
+    "sweep",
     "valuation",
     "vanishing_classes",
     "weight_digit",

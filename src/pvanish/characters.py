@@ -15,7 +15,8 @@ once, so storing it would only grow the table, while every deeper pair
 still goes through the memo.  A sweep scans only the few classes that the
 pruned search of vanishing.vanishing_classes leaves and that are not of
 p-adic type, so the memo holds 1,268 entries after vanishing_classes(27, 7)
-on fresh caches, and 1,428 after a p = 7 hunt over n <= 27.
+on fresh caches.  vanishing.sweep, the loop of every range sweep and hunt,
+drops the memo after each n, so a p = 7 sweep over n <= 27 leaves it empty.
 
 character_table builds the table a whole column at a time, by the same rule
 run the other way (_column): the column of a class, {label mask: value} over

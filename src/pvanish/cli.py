@@ -30,7 +30,7 @@ from .partitions import (
     parse_partition,
     r_decompose,
 )
-from .vanishing import check_conjectures, list_p_vanishing
+from .vanishing import summary, sweep
 
 # Largest n a vanishing sweep runs without --limit; the library sweeps take no limit.
 DEFAULT_SWEEP_LIMIT = 30
@@ -215,16 +215,7 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n)
     if ns[-1] > args.limit:
         raise ValueError(f"n={ns[-1]} is past the sweep limit; raise --limit ({args.limit})")
-    reports = []
-    scans = []
-    for n in ns:
-        ctx = p_adic_context(n, p)
-        report = list_p_vanishing(ctx, audit=args.audit)
-        if args.check_conjecture:
-            scan = check_conjectures(ctx)
-            report.counterexamples.extend(scan.counterexamples)
-            scans.append(scan)
-        reports.append(report)
+    reports = list(sweep(p, ns, audit=args.audit, conjecture=args.check_conjecture))
 
     total = sum(len(r.vanishing) for r in reports)
     bad = sum(len(r.counterexamples) for r in reports)
@@ -248,8 +239,7 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     if marked:
         lines.append("(* marks classes that are not of p-adic type)")
     if args.check_conjecture:
-        for scan in scans:
-            lines.append(scan.summary())
+        lines.extend(summary(p, f"n={r.n}", [r]) for r in reports)
 
     payload = {
         "schema_version": 1,
@@ -266,12 +256,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     if args.p and args.suite != "all" and not verify_mod.SUITES[args.suite][0]:
         raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
+    bounds = {
+        name: verify_mod.SUITES[name][1] if args.max_n is None else args.max_n for name in names
+    }
+    for name, bound in bounds.items():  # every bound, before the first suite runs
+        verify_mod.check_table_guard(name, bound)
     # under "all", a suite with 0 checks (none of its primes given) is only
     # named as skipped; it is an error when no suite ran a check
     results, skipped = [], []
-    for name in names:
-        default_primes, default_bound, runner = verify_mod.SUITES[name]
-        bound = default_bound if args.max_n is None else args.max_n
+    for name, bound in bounds.items():
+        default_primes, _, runner = verify_mod.SUITES[name]
         result = runner(list(args.p or default_primes), bound)
         (results if result.checks else skipped).append(result)
     if not results:

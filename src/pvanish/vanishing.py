@@ -30,14 +30,18 @@ none of the cuts, the skip or the orthogonality.
 The reports and the suffix-reduction audit build the classes they compare
 directly, and rescan for a witness only a class that they report.
 
-For p >= 5 the classification is conjectural; scan functions hunt for
-counterexamples and only ever report "none found".
+For p >= 5 the classification is conjectural: list_p_vanishing with
+conjecture=True hunts for counterexamples, and a clean hunt only ever
+reports "none found".  list_p_vanishing is the one report per n, and sweep
+the one loop over n: after each n it drops the two tables that grow with n
+(_char and padic._pprime_masks) and keeps the small result tables that
+later n read.  clear_caches drops every table.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .characters import _char, _column, _multi, _nonzero_row, centralizer_order
 from .padic import (
@@ -480,7 +484,7 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
 
 
 # ---------------------------------------------------------------------------
-# reports and conjecture scans
+# reports, one per n, and the sweep over n
 # ---------------------------------------------------------------------------
 
 
@@ -515,30 +519,49 @@ class VanishReport(NamedTuple):
         }
 
 
-def list_p_vanishing(ctx: PAdicContext, *, audit: bool = False) -> VanishReport:
+def _witness_json(beta: Partition, p: int) -> list | None:
+    """The witness of a reported class, [label, value], or None if the oracle finds none."""
+    witness = nonvanishing_witness(beta, p)
+    return [list(witness[0]), witness[1]] if witness else None
+
+
+def list_p_vanishing(
+    ctx: PAdicContext, *, audit: bool = False, conjecture: bool = False
+) -> VanishReport:
     """All p-vanishing cycle types of S_n, annotated, in enumeration order.
 
-    For p in {2, 3} the vanishing classes are cross-checked against the
-    structural ones, and each class in one set but not the other lands in
-    counterexamples, in enumeration order.
+    Each disagreement between the brute-force vanishing set and a predicted
+    set lands in counterexamples.  For p in {2, 3} the prediction is the
+    structural classes, and each class in one set but not the other is
+    reported in enumeration order.  audit=True appends the structure
+    audit's violations.  conjecture=True, for p >= 5 only, then appends the
+    conjecture's counterexamples, kind by kind:
+      vanishing_without_p_adic_type      a vanishing class not of p-adic type
+                                         (would refute the classification)
+      p_adic_type_not_vanishing          a p-adic-type class that does not
+                                         vanish (would refute a proven fact,
+                                         so it means a bug), with its witness
+      small_part_sum_exceeds_last_digit  a vanishing class whose parts below
+                                         the last digit a_0 sum to more than a_0
     """
+    if conjecture and ctx.p < 5:
+        raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
     vanishing = vanishing_classes(ctx.n, ctx.p)
+    vanishing_set = set(vanishing)
     structural = ctx.p in STRUCTURAL_LEVEL
     audits: dict = {}
     counterexamples: list[dict] = []
     if structural:
-        vanishing_set = set(vanishing)
         disagreements = vanishing_set.symmetric_difference(structural_classes(ctx))
         for beta in sorted(disagreements, reverse=True):  # enumeration order
             ok = beta in vanishing_set
-            witness = nonvanishing_witness(beta, ctx.p)
             counterexamples.append(
                 {
                     "kind": "classifier_disagreement",
                     "beta": list(beta),
                     "bruteforce": ok,
                     "structural": not ok,
-                    "witness": [list(witness[0]), witness[1]] if witness else None,
+                    "witness": _witness_json(beta, ctx.p),
                 }
             )
         audits["structural_agreement"] = not counterexamples
@@ -554,112 +577,82 @@ def list_p_vanishing(ctx: PAdicContext, *, audit: bool = False) -> VanishReport:
         result = audit_vanishing_structure(ctx)
         audits["structure"] = result.to_json_dict()
         counterexamples.extend(result.violations)
+    if conjecture:
+        counterexamples.extend(
+            {"kind": "vanishing_without_p_adic_type", "beta": list(e.parts)}
+            for e in entries
+            if not e.p_adic_type
+        )
+        for beta in p_adic_type_classes(ctx):
+            if beta not in vanishing_set:
+                # reported, so its witness is scanned for again; the oracle
+                # may find none if it disagrees with the sweep
+                counterexamples.append(
+                    {
+                        "kind": "p_adic_type_not_vanishing",
+                        "beta": list(beta),
+                        "witness": _witness_json(beta, ctx.p),
+                    }
+                )
+        a0 = ctx.digit(0)
+        for beta in vanishing:
+            small = sum(c for c in beta if c < a0)
+            if small > a0:
+                counterexamples.append(
+                    {
+                        "kind": "small_part_sum_exceeds_last_digit",
+                        "beta": list(beta),
+                        "sum": small,
+                        "bound": a0,
+                    }
+                )
     return VanishReport(
         n=ctx.n, p=ctx.p, vanishing=entries, audits=audits, counterexamples=counterexamples
     )
 
 
-class ConjectureScan(NamedTuple):
-    """Counterexample hunt at a single n for p >= 5.
+def sweep(
+    p: int, ns: Iterable[int], *, audit: bool = False, conjecture: bool = False
+) -> Iterator[VanishReport]:
+    """The report of each n in ns, in order: the one per-n loop of every range sweep.
 
-    type_mismatches: vanishing cycle types that do not have p-adic type
-    (would refute the classification conjecture).  missed_types: p-adic-type
-    cycle types that fail to vanish (would refute a proven fact, so finding
-    one means a bug).  sum_bound_violations: vanishing cycle types whose
-    parts below the last digit a_0 sum to more than a_0.
+    After each n it drops the two memo tables that grow with n, _char and
+    _pprime_masks, so a sweep holds one n's worth of them at a time.  The
+    small result tables that later n read (vanishing_classes,
+    base_vanishing_table, p_adic_context) stay, and so does every table a
+    caller built that a sweep does not fill.
     """
-
-    n: int
-    p: int
-    type_mismatches: list[Partition]
-    missed_types: list[dict]
-    sum_bound_violations: list[dict]
-
-    @property
-    def counterexamples(self) -> list[dict]:
-        out: list[dict] = []
-        for beta in self.type_mismatches:
-            out.append({"kind": "vanishing_without_p_adic_type", "beta": list(beta)})
-        out.extend(self.missed_types)
-        out.extend(self.sum_bound_violations)
-        return out
-
-    def summary(self) -> str:
-        if not self.counterexamples:
-            return f"p={self.p} n={self.n}: no counterexample found"
-        return f"p={self.p} n={self.n}: {len(self.counterexamples)} counterexample(s)"
-
-
-def check_conjectures(ctx: PAdicContext) -> ConjectureScan:
-    """Scan one symmetric group for conjecture counterexamples (p >= 5)."""
-    if ctx.p < 5:
-        raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
-    a0 = ctx.digit(0)
-    vanishing = vanishing_classes(ctx.n, ctx.p)
-    scan = ConjectureScan(ctx.n, ctx.p, [], [], [])
-    for beta in vanishing:
-        if not is_p_adic_type(beta, ctx):
-            scan.type_mismatches.append(beta)
-        small = sum(c for c in beta if c < a0)
-        if small > a0:
-            scan.sum_bound_violations.append(
-                {
-                    "kind": "small_part_sum_exceeds_last_digit",
-                    "beta": list(beta),
-                    "sum": small,
-                    "bound": a0,
-                }
-            )
-    vanishing_set = set(vanishing)
-    for beta in p_adic_type_classes(ctx):
-        if beta not in vanishing_set:
-            # reported, so its witness is scanned for again; the oracle may
-            # find none if it disagrees with the sweep
-            witness = nonvanishing_witness(beta, ctx.p)
-            scan.missed_types.append(
-                {
-                    "kind": "p_adic_type_not_vanishing",
-                    "beta": list(beta),
-                    "witness": [list(witness[0]), witness[1]] if witness else None,
-                }
-            )
-    return scan
-
-
-class ConjectureSweep(NamedTuple):
-    p: int
-    scans: list[ConjectureScan]
-
-    @property
-    def counterexamples(self) -> list[dict]:
-        return [c for s in self.scans for c in s.counterexamples]
-
-    @property
-    def equivalence_consistent(self) -> bool:
-        """The two conjectures stand or fall together across the sweep.
-
-        If the small-part sum bound held everywhere scanned, the type
-        classification must have held as well.
-        """
-        no_sum_violation = all(not s.sum_bound_violations for s in self.scans)
-        no_type_mismatch = all(not s.type_mismatches for s in self.scans)
-        return no_type_mismatch or not no_sum_violation
-
-    def summary(self) -> str:
-        total = len(self.counterexamples)
-        ns = f"n<={max((s.n for s in self.scans), default=0)}"
-        if total == 0:
-            return f"p={self.p} {ns}: no counterexample found"
-        return f"p={self.p} {ns}: {total} counterexample(s)"
-
-
-def conjecture_sweep(p: int, ns: range | list[int]) -> ConjectureSweep:
-    """Scan each n in turn, then clear_caches(), which drops a caller's tables too."""
-    scans = []
     for n in ns:
-        scans.append(check_conjectures(p_adic_context(n, p)))
-        clear_caches()
-    return ConjectureSweep(p=p, scans=scans)
+        yield list_p_vanishing(p_adic_context(n, p), audit=audit, conjecture=conjecture)
+        _char.cache_clear()
+        _pprime_masks.cache_clear()
+
+
+def _conjecture_kinds(reports: Iterable[VanishReport]) -> list[str]:
+    # the conjecture's counterexamples are the only ones of p >= 5 with a kind;
+    # the audit's violations carry a predicate instead
+    return [c["kind"] for r in reports if r.p >= 5 for c in r.counterexamples if "kind" in c]
+
+
+def summary(p: int, where: str, reports: Iterable[VanishReport]) -> str:
+    """One line counting the conjecture's counterexamples in reports, at where ("n=7")."""
+    found = len(_conjecture_kinds(reports))
+    if not found:
+        return f"p={p} {where}: no counterexample found"
+    return f"p={p} {where}: {found} counterexample(s)"
+
+
+def equivalence_consistent(reports: Iterable[VanishReport]) -> bool:
+    """The two conjectures stand or fall together across the reports.
+
+    If the small-part sum bound held everywhere scanned, the type
+    classification must have held as well.
+    """
+    kinds = set(_conjecture_kinds(reports))
+    return (
+        "vanishing_without_p_adic_type" not in kinds
+        or "small_part_sum_exceeds_last_digit" in kinds
+    )
 
 
 def clear_caches() -> None:

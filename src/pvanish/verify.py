@@ -30,8 +30,9 @@ from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions
 from .partitions import partition_count, r_decompose
 from .vanishing import (
     audit_vanishing_structure,
-    conjecture_sweep,
+    equivalence_consistent,
     is_p_vanishing_structural,
+    sweep,
     vanishing_classes,
 )
 
@@ -130,6 +131,16 @@ def _gram_mismatches(left, right, diagonal):
                 yield i, j, got
 
 
+def check_table_guard(name: str, max_n: int) -> None:
+    """Refuse max_n past TABLE_GUARD for a suite that builds full character tables.
+
+    The two table suites check their own bound before their first table,
+    and the CLI checks every selected suite's bound before the first suite runs.
+    """
+    if name in ("orthogonality", "conjugation-twist") and max_n > TABLE_GUARD:
+        raise ValueError(f"table for n={max_n} exceeds the guard ({TABLE_GUARD})")
+
+
 @_timed
 def orthogonality_suite(max_n: int) -> SuiteResult:
     """Row and column orthogonality of the full character table, exactly.
@@ -137,8 +148,7 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
     Each Gram matrix is checked one packed row at a time (_gram_mismatches);
     every (i, j) entry still counts as one check.
     """
-    if max_n > TABLE_GUARD:
-        raise ValueError(f"table for n={max_n} exceeds the guard ({TABLE_GUARD})")
+    check_table_guard("orthogonality", max_n)
     res = SuiteResult("orthogonality")
     for n in range(max_n + 1):
         table = character_table(n)
@@ -195,8 +205,7 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
     conjugate label with the sign of each class times the row of the label,
     one check per (label, class) cell.
     """
-    if max_n > TABLE_GUARD:
-        raise ValueError(f"table for n={max_n} exceeds the guard ({TABLE_GUARD})")
+    check_table_guard("conjugation-twist", max_n)
     res = SuiteResult("conjugation-twist")
     for n in range(max_n + 1):
         table = character_table(n)
@@ -351,11 +360,11 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
     for p in primes:
         if p < 5:
             continue
-        sweep = conjecture_sweep(p, range(max_n + 1))
+        reports = list(sweep(p, range(max_n + 1), conjecture=True))
         # every class of every S_n is classified, once
-        res.checks += sum(partition_count(s.n) for s in sweep.scans)
-        res.violations.extend({**c, "p": p} for c in sweep.counterexamples)
-        if not sweep.equivalence_consistent:
+        res.checks += sum(partition_count(r.n) for r in reports)
+        res.violations.extend({**c, "p": p} for r in reports for c in r.counterexamples)
+        if not equivalence_consistent(reports):
             res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})
     return res
 

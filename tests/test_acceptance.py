@@ -17,7 +17,7 @@ from pvanish import cli
 from pvanish.characters import character_value, degree
 from pvanish.padic import is_p_adic_type, p_adic_context, is_p_singular
 from pvanish.partitions import as_partition, enumerate_partitions
-from pvanish.vanishing import conjecture_sweep, nonvanishing_witness
+from pvanish.vanishing import equivalence_consistent, nonvanishing_witness, summary, sweep
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -197,14 +197,14 @@ def test_ac8_structure_audits(capsys):
 
 def test_ac9_conjecture_sweeps(capsys):
     start = time.perf_counter()
-    sweeps = [
-        conjecture_sweep(5, range(0, 19)),
-        conjecture_sweep(7, range(0, 17)),
-    ]
+    sweeps = {
+        (5, 18): list(sweep(5, range(0, 19), conjecture=True)),
+        (7, 16): list(sweep(7, range(0, 17), conjecture=True)),
+    }
     elapsed = time.perf_counter() - start
-    counterexamples = [c for s in sweeps for c in s.counterexamples]
-    summaries = [s.summary() for s in sweeps]
-    consistent = all(s.equivalence_consistent for s in sweeps)
+    counterexamples = [c for s in sweeps.values() for r in s for c in r.counterexamples]
+    summaries = [summary(p, f"n<={top}", s) for (p, top), s in sweeps.items()]
+    consistent = all(equivalence_consistent(s) for s in sweeps.values())
     worded = all("no counterexample found" in s for s in summaries) and not any(
         "true" in s for s in summaries
     )

@@ -41,7 +41,7 @@ from pvanish.partitions import (
     r_decompose,
     r_weight,
 )
-from pvanish.vanishing import conjecture_sweep, list_p_vanishing, nonvanishing_witness
+from pvanish.vanishing import list_p_vanishing, nonvanishing_witness, sweep
 from pvanish.verify import (
     conjugation_twist_suite,
     degree_column_suite,
@@ -574,11 +574,16 @@ def test_clear_caches_recomputes_identically():
 
 
 def test_a_sweep_holds_one_n_and_leaves_every_table_empty():
-    # vanishing holds the one list of memo tables, and a conjecture sweep
-    # clears them after each n, with the table a caller built before it
+    # vanishing holds the one list of memo tables; a sweep drops the two
+    # tables that grow with n after each n, and leaves the caller's table
+    # columns as it found them
     assert pvanish.clear_caches is vanishing.clear_caches
     assert not hasattr(characters, "clear_caches")
+    pvanish.clear_caches()
     character_table(4)
-    conjecture_sweep(5, range(30))
-    tables = _memo_tables()
-    assert {name: t.cache_info().currsize for name, t in tables.items()} == dict.fromkeys(tables, 0)
+    columns = characters._column.cache_info().currsize
+    assert columns > 0
+    list(sweep(5, range(30), conjecture=True))
+    sizes = {name: t.cache_info().currsize for name, t in _memo_tables().items()}
+    assert sizes["characters._char"] == sizes["padic._pprime_masks"] == 0
+    assert sizes["characters._column"] == columns

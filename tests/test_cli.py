@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pvanish
-from pvanish import characters, cli, vanishing, verify
+from pvanish import characters, cli, padic, vanishing, verify
 from pvanish.vanishing import VanishReport, vanishing_classes
 
 
@@ -264,6 +264,29 @@ def test_table_guard_checked_before_building(capsys, suite):
     assert characters._column.cache_info().currsize == 0
 
 
+def test_verify_all_checks_every_table_bound_first(capsys):
+    # orthogonality refuses 17, so equivalence, which runs first and fills
+    # the p'-label table, must not run at all
+    pvanish.clear_caches()
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "17")
+    assert (code, out) == (2, "")
+    assert "guard" in err
+    assert padic._pprime_masks.cache_info().currsize == 0
+
+
+def test_range_sweep_releases_the_growing_tables(capsys):
+    # the CLI loops through vanishing.sweep, which drops _char and the
+    # p'-label sets after each n
+    pvanish.clear_caches()
+    code, out, _ = run(
+        capsys, "vanishing", "--p", "7", "--n", "0..27", "--limit", "27", "--check-conjecture",
+        "--json",
+    )
+    assert code == 0 and json.loads(out)["counterexample_count"] == 0
+    assert characters._char.cache_info().currsize == 0
+    assert padic._pprime_masks.cache_info().currsize == 0
+
+
 def test_fixed_point_tail_costs_no_depth(capsys):
     code, out, _ = run(capsys, "char", "--alpha", "1^1200", "--beta", "1^1200")
     assert code == 0
@@ -291,7 +314,7 @@ def test_help_exits_0(capsys):
 
 def test_counterexample_exit_1(capsys, monkeypatch):
     # plumbing check only: force one counterexample through the report path
-    def fake_report(ctx, *, audit=False):
+    def fake_report(ctx, *, audit=False, conjecture=False):
         return VanishReport(
             n=ctx.n,
             p=ctx.p,
@@ -300,7 +323,7 @@ def test_counterexample_exit_1(capsys, monkeypatch):
             counterexamples=[{"kind": "classifier_disagreement", "beta": [ctx.n]}],
         )
 
-    monkeypatch.setattr(cli, "list_p_vanishing", fake_report)
+    monkeypatch.setattr(vanishing, "list_p_vanishing", fake_report)
     code, out, _ = run(capsys, "vanishing", "--p", "2", "--n", "4")
     assert code == 1
     assert "COUNTEREXAMPLE" in out

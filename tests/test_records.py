@@ -16,11 +16,11 @@ from pvanish.characters import CharacterTable, character_table
 from pvanish.padic import p_adic_context
 from pvanish.partitions import r_decompose
 from pvanish.vanishing import (
-    ConjectureScan,
     StructureAudit,
     VanishEntry,
     VanishReport,
-    check_conjectures,
+    list_p_vanishing,
+    summary,
 )
 from pvanish.verify import SuiteResult
 
@@ -123,6 +123,7 @@ def test_constructor_forms():
     rebuilt = CharacterTable(table.n, table.labels, table.values)
     assert rebuilt == table
 
-    scan = ConjectureScan(5, 5, [], [], [])
-    assert (scan.n, scan.p, scan.counterexamples) == (5, 5, [])
-    assert check_conjectures(p_adic_context(5, 5)).summary() == scan.summary()
+    empty = VanishReport(5, 5, [], {}, [])
+    assert (empty.n, empty.p, empty.counterexamples) == (5, 5, [])
+    found = list_p_vanishing(p_adic_context(5, 5), conjecture=True)
+    assert summary(5, "n=5", [found]) == summary(5, "n=5", [empty])

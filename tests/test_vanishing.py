@@ -9,7 +9,7 @@ import pytest
 from naive import naive_two_row_and_hook_values
 
 import pvanish
-from pvanish import characters, vanishing
+from pvanish import characters, padic, vanishing
 from pvanish.characters import character_value
 from pvanish.padic import (
     _mask_singular,
@@ -24,16 +24,25 @@ from pvanish.vanishing import (
     STRUCTURAL_LEVEL,
     audit_vanishing_structure,
     base_vanishing_table,
-    check_conjectures,
-    conjecture_sweep,
+    equivalence_consistent,
     is_p_vanishing_structural,
     list_p_vanishing,
     nonvanishing_witness,
     structural_classes,
     structural_split,
     suffix_reduction_check,
+    summary,
+    sweep,
     vanishing_classes,
 )
+
+
+def _by_kind(ctx):
+    """The conjecture's counterexamples of one report, by kind, in report order."""
+    found = {}
+    for c in list_p_vanishing(ctx, conjecture=True).counterexamples:
+        found.setdefault(c["kind"], []).append(c)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +157,12 @@ def test_flags_in_enumeration_order(p, n):
 
 
 def test_one_flag_table_per_sweep():
-    # the report and the conjecture scan share one scan of (20, 7); witnesses
-    # are not memoized, and the shared tuple cannot be changed by a caller
+    # the plain report and the conjecture report share one scan of (20, 7);
+    # witnesses are not memoized, and the shared tuple cannot be changed by a caller
     pvanish.clear_caches()
     ctx = p_adic_context(20, 7)
     list_p_vanishing(ctx)
-    check_conjectures(ctx)
+    list_p_vanishing(ctx, conjecture=True)
     info = vanishing_classes.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert not hasattr(nonvanishing_witness, "cache_info")
@@ -171,7 +180,7 @@ def test_sweep_keeps_no_label_table(monkeypatch):
     monkeypatch.setattr(vanishing, "nonvanishing_witness", refuse)
     pvanish.clear_caches()
     for n in range(25):
-        assert check_conjectures(p_adic_context(n, 5)).counterexamples == []
+        assert list_p_vanishing(p_adic_context(n, 5), conjecture=True).counterexamples == []
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +378,9 @@ def test_missed_p_adic_type_reports_witness(monkeypatch):
     monkeypatch.setattr(
         vanishing, "p_adic_type_classes", lambda c: real(c) + ((beta,) if c == ctx else ())
     )
-    scan = check_conjectures(ctx)
-    assert scan.type_mismatches == [] and scan.sum_bound_violations == []
-    (found,) = scan.missed_types
+    kinds = _by_kind(ctx)
+    assert list(kinds) == ["p_adic_type_not_vanishing"]
+    (found,) = kinds["p_adic_type_not_vanishing"]
     assert found["kind"] == "p_adic_type_not_vanishing"
     assert found["beta"] == list(beta)
     _assert_reported_witness(found["witness"], beta, 5)
@@ -677,20 +686,18 @@ def test_list_p_vanishing_for_large_prime_has_no_split():
 
 @pytest.mark.parametrize("n", range(0, 12))
 def test_conjecture_scan_finds_nothing_at_p5(n):
-    scan = check_conjectures(p_adic_context(n, 5))
-    assert scan.type_mismatches == []
-    assert scan.missed_types == []
-    assert scan.sum_bound_violations == []
-    assert "no counterexample found" in scan.summary()
+    report = list_p_vanishing(p_adic_context(n, 5), conjecture=True)
+    assert report.counterexamples == []
+    assert "no counterexample found" in summary(5, f"n={n}", [report])
 
 
 def test_conjecture_scan_rejects_small_primes():
     with pytest.raises(ValueError):
-        check_conjectures(p_adic_context(6, 3))
+        list_p_vanishing(p_adic_context(6, 3), conjecture=True)
 
 
 def test_conjecture_scan_takes_no_limit():
-    assert check_conjectures(p_adic_context(31, 5)).counterexamples == []
+    assert list_p_vanishing(p_adic_context(31, 5), conjecture=True).counterexamples == []
 
 
 def test_vacuous_regime_below_p():
@@ -699,16 +706,72 @@ def test_vacuous_regime_below_p():
     ctx = p_adic_context(4, 7)
     assert all(nonvanishing_witness(beta, 7) is None for beta in enumerate_partitions(4))
     assert vanishing_classes(4, 7) == tuple(enumerate_partitions(4))
-    assert check_conjectures(ctx).counterexamples == []
+    assert list_p_vanishing(ctx, conjecture=True).counterexamples == []
     for beta in enumerate_partitions(4):
         assert is_p_adic_type(beta, ctx)
 
 
 def test_conjecture_sweep_summary():
-    sweep = conjecture_sweep(5, range(0, 11))
-    assert sweep.counterexamples == []
-    assert sweep.equivalence_consistent
-    assert "no counterexample found" in sweep.summary()
+    reports = list(sweep(5, range(0, 11), conjecture=True))
+    assert [c for r in reports for c in r.counterexamples] == []
+    assert equivalence_consistent(reports)
+    assert "no counterexample found" in summary(5, "n<=10", reports)
+
+
+@pytest.mark.parametrize(
+    "p,keywords",
+    [(2, {}), (3, {"audit": True}), (5, {"conjecture": True}), (7, {"audit": True, "conjecture": True})],
+)
+def test_sweep_yields_the_per_n_reports(p, keywords):
+    ns = range(0, 17)
+    expected = [list_p_vanishing(p_adic_context(n, p), **keywords) for n in ns]
+    assert list(sweep(p, ns, **keywords)) == expected
+
+
+def test_sweep_holds_one_n_of_the_growing_tables():
+    # _pprime_masks holds only the n just reported, and the end of the sweep
+    # leaves both growing tables empty; the small result tables stay
+    pvanish.clear_caches()
+    for report in sweep(5, range(0, 30), conjecture=True):
+        assert padic._pprime_masks.cache_info().currsize == 1, report.n
+    assert characters._char.cache_info().currsize == 0
+    assert padic._pprime_masks.cache_info().currsize == 0
+    assert vanishing_classes.cache_info().currsize == 30
+    list(sweep(3, range(0, 20), audit=True))
+    assert characters._char.cache_info().currsize == 0
+    assert padic._pprime_masks.cache_info().currsize == 0
+    assert base_vanishing_table.cache_info().currsize == 1
+
+
+def test_conjecture_kinds_follow_the_audit_in_order(monkeypatch):
+    # (9, 1, 1, 1) is not of p-adic type for n = 12 = 22 in base 5, and its
+    # 1-parts sum to 3 > a_0 = 2; (4, 3, 2, 2, 1) is given p-adic type and
+    # does not vanish; the summary line counts the conjecture's kinds only
+    ctx = p_adic_context(12, 5)
+    real_classes, real_types = vanishing.vanishing_classes, vanishing.p_adic_type_classes
+    monkeypatch.setattr(
+        vanishing, "vanishing_classes", lambda n, p: real_classes(n, p) + ((9, 1, 1, 1),)
+    )
+    monkeypatch.setattr(
+        vanishing, "p_adic_type_classes", lambda c: real_types(c) + ((4, 3, 2, 2, 1),)
+    )
+    audit = vanishing.StructureAudit(12, 5, 0)
+    audit.violations.append({"predicate": "min_part", "beta": [12], "t": 1})
+    monkeypatch.setattr(vanishing, "audit_vanishing_structure", lambda c: audit)
+    report = list_p_vanishing(ctx, audit=True, conjecture=True)
+    assert [c.get("kind", c.get("predicate")) for c in report.counterexamples] == [
+        "min_part",
+        "vanishing_without_p_adic_type",
+        "p_adic_type_not_vanishing",
+        "small_part_sum_exceeds_last_digit",
+    ]
+    assert report.counterexamples[3] == {
+        "kind": "small_part_sum_exceeds_last_digit", "beta": [9, 1, 1, 1], "sum": 3, "bound": 2
+    }
+    assert summary(5, "n=12", [report]) == "p=5 n=12: 3 counterexample(s)"
+    assert equivalence_consistent([report])
+    type_only = report._replace(counterexamples=report.counterexamples[:2])
+    assert not equivalence_consistent([type_only])
 
 
 def test_structural_level_matches_base_table_span():
