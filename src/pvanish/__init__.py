@@ -42,7 +42,6 @@ from .partitions import (
     r_weight,
 )
 from .vanishing import (
-    StructureAudit,
     VanishEntry,
     VanishReport,
     audit_vanishing_structure,
@@ -64,7 +63,6 @@ __all__ = [
     "Partition",
     "RDecomposition",
     "SINGULARITY_METHODS",
-    "StructureAudit",
     "VanishEntry",
     "VanishReport",
     "as_partition",

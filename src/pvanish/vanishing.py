@@ -300,7 +300,6 @@ def _lower_bound_covered(p: int, n: int, t: int) -> bool:
             return t != 1
         if n % 8 == 4:
             return t not in (1, 2)
-        return False
     if p == 3:
         if n % 9 in (0, 1, 2, 4, 7):
             return True
@@ -346,37 +345,12 @@ def suffix_reduction_check(beta: Partition, ctx: PAdicContext, m: int) -> bool |
     return (tail in vanishing_classes(sum(tail), ctx.p)) == whole
 
 
-class StructureAudit:
-    """Outcome of auditing the necessary conditions over one (n, p) sweep."""
-
-    __slots__ = ("n", "p", "vanishing_count", "checked", "violations", "informational")
-
-    def __init__(self, n: int, p: int, vanishing_count: int) -> None:
-        self.n = n
-        self.p = p
-        self.vanishing_count = vanishing_count
-        self.checked: dict[str, int] = {}
-        self.violations: list[dict] = []
-        self.informational: list[dict] = []
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "vanishing_count": self.vanishing_count,
-            "checked": dict(self.checked),
-            "violations": list(self.violations),
-            "informational": list(self.informational),
-            "passed": self.passed,
-        }
-
-
-def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
+def audit_vanishing_structure(ctx: PAdicContext) -> dict:
     """Audit every vanishing cycle type of S_n against the structure facts.
+
+    Returns the JSON dict that a report stores under audits["structure"]:
+    n, p, vanishing_count, checked (the count per predicate), violations,
+    informational and passed (no violation).
 
     Predicates (each per level t, gated by its hypotheses):
       large_part_sum_upper   sum of parts >= p^t is at most div(t) * p^t
@@ -402,10 +376,12 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
     """
     n, p, k = ctx.n, ctx.p, ctx.k
     vanishing = vanishing_classes(n, p)
-    audit = StructureAudit(n=n, p=p, vanishing_count=len(vanishing))
+    checked: dict[str, int] = {}
+    violations: list[dict] = []
+    informational: list[dict] = []
 
     def tally(name: str) -> None:
-        audit.checked[name] = audit.checked.get(name, 0) + 1
+        checked[name] = checked.get(name, 0) + 1
 
     def flag(where: list[dict], name: str, beta: Partition, **details) -> None:
         where.append({"predicate": name, "beta": list(beta), **details})
@@ -420,25 +396,17 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
 
             tally("large_part_sum_upper")
             if big > target:
-                dest = (
-                    audit.violations
-                    if _upper_bound_covered(p, n, t)
-                    else audit.informational
-                )
+                dest = violations if _upper_bound_covered(p, n, t) else informational
                 flag(dest, "large_part_sum_upper", beta, t=t, sum=big, bound=target)
 
             tally("large_part_sum_lower")
             if big < target:
-                dest = (
-                    audit.violations
-                    if _lower_bound_covered(p, n, t)
-                    else audit.informational
-                )
+                dest = violations if _lower_bound_covered(p, n, t) else informational
                 flag(dest, "large_part_sum_lower", beta, t=t, sum=big, bound=target)
 
             tally("large_parts_multiples")
             if big == target and any(c % P for c in beta if c >= P):
-                flag(audit.violations, "large_parts_multiples", beta, t=t)
+                flag(violations, "large_parts_multiples", beta, t=t)
 
             # the small-part lemma needs rem(t) >= 1 (its hook-family
             # ingredient has d_t, e_t != 0 as a hypothesis, and at e_t = 0
@@ -448,7 +416,7 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
             if big < target:
                 small = sum(c for c in beta if c < ctx.rem(t))
                 if small <= ctx.rem(t):
-                    dest = audit.violations if ctx.rem(t) >= 1 else audit.informational
+                    dest = violations if ctx.rem(t) >= 1 else informational
                     flag(
                         dest,
                         "small_part_excess",
@@ -461,7 +429,7 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
             if t >= 1 and n % P == 0 and n > 0:
                 tally("min_part")
                 if not _check_min_part(beta, p, t):
-                    flag(audit.violations, "min_part", beta, t=t)
+                    flag(violations, "min_part", beta, t=t)
 
     applicable = partition_count(n)
     vanishing_set = set(vanishing)
@@ -477,10 +445,18 @@ def audit_vanishing_structure(ctx: PAdicContext) -> StructureAudit:
                 if (head + tau in vanishing_set) != (tau in tails):
                     failed.append((head + tau, m))
     for beta, m in sorted(failed, key=lambda v: (v[0], -v[1]), reverse=True):
-        flag(audit.violations, "suffix_reduction", beta, m=m)
-    audit.checked["suffix_reduction"] = applicable
+        flag(violations, "suffix_reduction", beta, m=m)
+    checked["suffix_reduction"] = applicable
 
-    return audit
+    return {
+        "n": n,
+        "p": p,
+        "vanishing_count": len(vanishing),
+        "checked": checked,
+        "violations": violations,
+        "informational": informational,
+        "passed": not violations,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +550,8 @@ def list_p_vanishing(
         for beta in vanishing
     ]
     if audit:
-        result = audit_vanishing_structure(ctx)
-        audits["structure"] = result.to_json_dict()
-        counterexamples.extend(result.violations)
+        audits["structure"] = audit_vanishing_structure(ctx)
+        counterexamples.extend(audits["structure"]["violations"])
     if conjecture:
         counterexamples.extend(
             {"kind": "vanishing_without_p_adic_type", "beta": list(e.parts)}

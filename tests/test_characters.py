@@ -410,6 +410,24 @@ def test_multichar_suite_flags_a_fault_in_hook_removal(monkeypatch):
     assert all("induced" in v and "smallest_first" not in v for v in result.violations)
 
 
+def test_multichar_suite_flags_a_fault_in_one_peel_order(monkeypatch):
+    # a value one too large on every cycle list that is not decreasing
+    # reaches only the smallest-first order, and of the classes of size <= 3
+    # only (2, 1) has a reversal that is not decreasing: one violation for
+    # each of the 3 + 10 + 22 label tuples of total 3 with 1, 2, 3 components
+    real = verify._multi
+
+    def skewed(masks, lam):
+        return real(masks, lam) + (lam != tuple(sorted(lam, reverse=True)))
+
+    monkeypatch.setattr(verify, "_multi", skewed)
+    result = multichar_suite(3)
+    assert len(result.violations) == 35
+    for v in result.violations:
+        assert (v["lam"], v["smallest_first"]) == ([2, 1], v["value"] + 1)
+        assert "induced" not in v
+
+
 @given(partition_pairs_st(max_n=12))
 def test_single_component_tuple_matches_plain_value(pair):
     alpha, beta = pair

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import io
 import json
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -469,6 +472,33 @@ def test_readme_examples_print_what_they_show(capsys):
     for argv, shown in examples:
         code, out, _ = run(capsys, *argv)
         assert (code, out.splitlines()) == (0, shown), argv
+
+
+def test_readme_library_example_values():
+    # each expression of the "## Library" block against the value in its
+    # comment, on the same line or on the line below
+    text = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    lines = code.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(code).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        row = node.end_lineno
+        if row not in comments:
+            row += 1
+            assert lines[row - 1].lstrip().startswith("#"), ast.unparse(node)
+        source = ast.get_source_segment(code, node)
+        assert eval(source, namespace) == ast.literal_eval(comments[row]), source
+        checked.append(source)
+    assert len(checked) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import partitions_st, primes_st
 from naive import naive_can_strip, naive_hook_weight, naive_weight, partition_count
+from pvanish import verify
 from pvanish.characters import degree
 from pvanish.padic import (
     SINGULARITY_METHODS,
@@ -276,6 +277,19 @@ def test_singularity_four_way_agreement_random(alpha, p):
     ctx = p_adic_context(sum(alpha), p)
     answers = [is_p_singular(alpha, ctx, m) for m in SINGULARITY_METHODS]
     assert len(set(answers)) == 1
+
+
+def test_equivalence_suite_flags_one_flipped_answer(monkeypatch):
+    # (2, 1) has degree 2, so every test calls it 2-singular but the flipped one
+    real = verify.is_p_singular
+
+    def flipped(alpha, ctx, method):
+        return real(alpha, ctx, method) ^ (alpha == (2, 1) and method == "degree")
+
+    monkeypatch.setattr(verify, "is_p_singular", flipped)
+    result = verify.equivalence_suite([2], 3)
+    answers = {m: m != "degree" for m in SINGULARITY_METHODS}
+    assert result.violations == [{"p": 2, "n": 3, "alpha": [2, 1], "answers": answers}]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -16,9 +16,9 @@ from pvanish.characters import CharacterTable, character_table
 from pvanish.padic import p_adic_context
 from pvanish.partitions import r_decompose
 from pvanish.vanishing import (
-    StructureAudit,
     VanishEntry,
     VanishReport,
+    audit_vanishing_structure,
     list_p_vanishing,
     summary,
 )
@@ -89,23 +89,17 @@ def test_suite_results_never_share_containers():
 
 
 def test_structure_audits_never_share_containers():
-    first, second = StructureAudit(4, 2, 0), StructureAudit(n=4, p=2, vanishing_count=0)
+    ctx = p_adic_context(4, 2)
+    first, second = audit_vanishing_structure(ctx), audit_vanishing_structure(ctx)
     for name in ("checked", "violations", "informational"):
-        assert getattr(first, name) is not getattr(second, name)
-    first.checked["min_part"] = 1
-    first.violations.append({"predicate": "min_part"})
-    first.informational.append({"predicate": "min_part"})
-    first.vanishing_count = 3
-    assert second.to_json_dict() == {
-        "n": 4,
-        "p": 2,
-        "vanishing_count": 0,
-        "checked": {},
-        "violations": [],
-        "informational": [],
-        "passed": True,
-    }
-    assert not first.passed
+        assert first[name] is not second[name]
+    first["checked"]["min_part"] = 1
+    first["violations"].append({"predicate": "min_part"})
+    first["informational"].append({"predicate": "min_part"})
+    first["vanishing_count"] = 3
+    assert second == audit_vanishing_structure(ctx)
+    assert second["passed"] and not second["violations"]
+    assert second["vanishing_count"] == 2
 
 
 def test_constructor_forms():

@@ -9,7 +9,7 @@ import pytest
 from naive import naive_two_row_and_hook_values
 
 import pvanish
-from pvanish import characters, padic, vanishing
+from pvanish import characters, padic, vanishing, verify
 from pvanish.characters import character_value
 from pvanish.padic import (
     _mask_singular,
@@ -35,6 +35,7 @@ from pvanish.vanishing import (
     sweep,
     vanishing_classes,
 )
+from pvanish.verify import conjecture_suite, split_classifier_suite, structure_suite
 
 
 def _by_kind(ctx):
@@ -485,10 +486,10 @@ def test_structural_classes_reject_other_primes():
 @pytest.mark.parametrize("n", range(0, 13))
 def test_structure_audit_has_no_violations(n, p):
     audit = audit_vanishing_structure(p_adic_context(n, p))
-    assert audit.passed, audit.violations
-    assert audit.vanishing_count == len(vanishing_classes(n, p))
+    assert audit["passed"], audit["violations"]
+    assert audit["vanishing_count"] == len(vanishing_classes(n, p))
     if n:
-        assert audit.checked.get("large_part_sum_upper", 0) > 0
+        assert audit["checked"].get("large_part_sum_upper", 0) > 0
 
 
 def test_structure_audit_gates_empty_remainder():
@@ -496,14 +497,16 @@ def test_structure_audit_gates_empty_remainder():
     # rem(2) = 0, so the small-part conclusion cannot hold; the audit must
     # record that informationally, not as a violation
     audit = audit_vanishing_structure(p_adic_context(4, 2))
-    assert audit.passed
-    infos = [v for v in audit.informational if v["predicate"] == "small_part_excess"]
+    assert audit["passed"]
+    infos = [v for v in audit["informational"] if v["predicate"] == "small_part_excess"]
     assert any(v["beta"] == [2, 1, 1] and v["t"] == 2 for v in infos)
 
 
 def test_structure_audit_json_shape():
-    audit = audit_vanishing_structure(p_adic_context(7, 2))
-    payload = audit.to_json_dict()
+    payload = audit_vanishing_structure(p_adic_context(7, 2))
+    assert list(payload) == [
+        "n", "p", "vanishing_count", "checked", "violations", "informational", "passed"
+    ]
     assert payload["passed"] is True
     assert payload["n"] == 7 and payload["p"] == 2
     json.dumps(payload)
@@ -513,7 +516,7 @@ def test_min_part_exceptions_present():
     # n=4, p=2, t=2: the vanishing class (2,1,1) is the listed exception
     assert (2, 1, 1) in vanishing_classes(4, 2)
     audit = audit_vanishing_structure(p_adic_context(4, 2))
-    assert not [v for v in audit.violations if v["predicate"] == "min_part"]
+    assert not [v for v in audit["violations"] if v["predicate"] == "min_part"]
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +565,8 @@ def test_suffix_reduction_audit_matches_per_level_checks(n, p):
             if not outcome:
                 violations.append({"predicate": "suffix_reduction", "beta": list(beta), "m": m})
     audit = audit_vanishing_structure(ctx)
-    assert audit.checked["suffix_reduction"] == checked
-    assert [v for v in audit.violations if v["predicate"] == "suffix_reduction"] == violations
+    assert audit["checked"]["suffix_reduction"] == checked
+    assert [v for v in audit["violations"] if v["predicate"] == "suffix_reduction"] == violations
 
 
 def _flip_flag(monkeypatch, n, p, beta):
@@ -579,7 +582,7 @@ def _flip_flag(monkeypatch, n, p, beta):
 def _suffix_levels_reported(audit, beta):
     return [
         v["m"]
-        for v in audit.violations
+        for v in audit["violations"]
         if v["predicate"] == "suffix_reduction" and v["beta"] == list(beta)
     ]
 
@@ -622,7 +625,7 @@ def test_suffix_reduction_audit_lists_by_class_then_level(monkeypatch):
         ([4, 2, 1], 2),
     ]
     audit = audit_vanishing_structure(ctx)
-    assert [v for v in audit.violations if v["predicate"] == "suffix_reduction"] == per_class
+    assert [v for v in audit["violations"] if v["predicate"] == "suffix_reduction"] == per_class
 
 
 def test_suffix_reduction_audit_lists_no_partition_of_n(monkeypatch):
@@ -638,8 +641,8 @@ def test_suffix_reduction_audit_lists_no_partition_of_n(monkeypatch):
 
     monkeypatch.setattr(vanishing, "enumerate_partitions", below_100)
     audit = audit_vanishing_structure(p_adic_context(100, 2))
-    assert audit.passed
-    assert audit.checked["suffix_reduction"] == partition_count(100) + 3 * 1 + 3 * 5 + 17_977
+    assert audit["passed"]
+    assert audit["checked"]["suffix_reduction"] == partition_count(100) + 3 * 1 + 3 * 5 + 17_977
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +758,15 @@ def test_conjecture_kinds_follow_the_audit_in_order(monkeypatch):
     monkeypatch.setattr(
         vanishing, "p_adic_type_classes", lambda c: real_types(c) + ((4, 3, 2, 2, 1),)
     )
-    audit = vanishing.StructureAudit(12, 5, 0)
-    audit.violations.append({"predicate": "min_part", "beta": [12], "t": 1})
+    audit = {
+        "n": 12,
+        "p": 5,
+        "vanishing_count": 0,
+        "checked": {},
+        "violations": [{"predicate": "min_part", "beta": [12], "t": 1}],
+        "informational": [],
+        "passed": False,
+    }
     monkeypatch.setattr(vanishing, "audit_vanishing_structure", lambda c: audit)
     report = list_p_vanishing(ctx, audit=True, conjecture=True)
     assert [c.get("kind", c.get("predicate")) for c in report.counterexamples] == [
@@ -777,3 +787,66 @@ def test_conjecture_kinds_follow_the_audit_in_order(monkeypatch):
 def test_structural_level_matches_base_table_span():
     for p, r in STRUCTURAL_LEVEL.items():
         assert sorted(base_vanishing_table(p)) == list(range(p**r))
+
+
+# ---------------------------------------------------------------------------
+# the verify suites that read sweep reports
+# ---------------------------------------------------------------------------
+
+
+def test_split_classifier_suite_lists_no_class(monkeypatch):
+    # each class is counted, by p(n), not listed
+    real = verify.enumerate_partitions
+
+    def up_to_20(n):
+        assert n <= 20, f"the partitions of {n} were listed"
+        return real(n)
+
+    monkeypatch.setattr(verify, "enumerate_partitions", up_to_20)
+    result = split_classifier_suite([2, 3], 30)
+    assert result.passed
+    assert result.checks == 2 * sum(partition_count(n) for n in range(31))
+
+
+def test_split_classifier_suite_reports_a_dropped_class(monkeypatch):
+    beta = vanishing_classes(12, 2)[0]
+    _flip_flag(monkeypatch, 12, 2, beta)
+    result = split_classifier_suite([2], 12)
+    assert result.violations == [{"p": 2, "n": 12, "beta": list(beta), "bruteforce": False}]
+    assert result.checks == sum(partition_count(n) for n in range(13))
+
+
+def test_structure_suite_releases_the_growing_tables():
+    pvanish.clear_caches()
+    assert structure_suite([3], 30).passed
+    assert characters._char.cache_info().currsize == 0
+    assert padic._pprime_masks.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "n,beta,predicate,t",
+    [
+        # 12 = 1100 in base 2: at t = 2 the parts >= 4 sum to 3 * 4, but 6 is no multiple of 4
+        (12, (6, 6), "large_parts_multiples", 2),
+        # at t = 4, 2^4 divides n = 16, and the smallest part 8 is below 2^4
+        (16, (8, 8), "min_part", 4),
+    ],
+)
+def test_structure_audit_flags_an_injected_class(monkeypatch, n, beta, predicate, t):
+    assert beta not in vanishing_classes(n, 2)
+    _flip_flag(monkeypatch, n, 2, beta)
+    flagged = {"predicate": predicate, "beta": list(beta), "t": t}
+    audit = audit_vanishing_structure(p_adic_context(n, 2))
+    assert [v for v in audit["violations"] if v["predicate"] == predicate] == [flagged]
+    assert not audit["passed"]
+    assert {**flagged, "p": 2, "n": n} in structure_suite([2], n).violations
+
+
+def test_conjecture_suite_flags_a_broken_equivalence(monkeypatch):
+    # 10 is 20 in base 5, so a_0 = 0: an injected (6, 4), not of p-adic
+    # type, breaks the type conjecture but not the small-part sum bound
+    _flip_flag(monkeypatch, 10, 5, (6, 4))
+    assert conjecture_suite([5], 12).violations == [
+        {"kind": "vanishing_without_p_adic_type", "beta": [6, 4], "p": 5},
+        {"kind": "conjecture_equivalence_broken", "p": 5},
+    ]
