@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands fall into three groups: single evaluations (char, degree),
-partition surgery (decompose, compose, core, quotient, padic), and sweeps
-(vanishing, verify).  Exit codes: 0 means every requested check passed,
+partition surgery (decompose, compose, padic), and sweeps (vanishing,
+verify).  Exit codes: 0 means every requested check passed,
 1 means a checked identity or classification failed and the output carries
 a witness, 2 means the invocation itself was malformed, 3 means the
 evaluation itself crashed (recursion depth or memory), which says nothing
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .characters import character_value, degree
-from .padic import p_adic_context, p_power_partition
+from .padic import _is_prime, p_adic_context, p_power_partition
 from .partitions import (
     MAX_PARTITION_SIZE,
     format_partition,
@@ -66,6 +66,9 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"no prime in {text!r}")
     if len(set(primes)) < len(primes):
         raise argparse.ArgumentTypeError(f"a prime is repeated in {text!r}")
+    for p in primes:  # every prime, before the first sweep starts
+        if not _is_prime(p):
+            raise argparse.ArgumentTypeError(f"{p} is not prime")
     return primes
 
 
@@ -152,24 +155,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         "alpha": list(alpha),
     }
     _emit(payload, [format_partition(alpha)], args.json)
-    return 0
-
-
-def _cmd_core(args: argparse.Namespace) -> int:
-    dec = r_decompose(parse_partition(args.alpha), args.r)
-    payload = {"schema_version": 1, "r": args.r, "core": list(dec.core)}
-    _emit(payload, [format_partition(dec.core)], args.json)
-    return 0
-
-
-def _cmd_quotient(args: argparse.Namespace) -> int:
-    dec = r_decompose(parse_partition(args.alpha), args.r)
-    payload = {
-        "schema_version": 1,
-        "r": args.r,
-        "quotient": [list(q) for q in dec.quotient],
-    }
-    _emit(payload, [_quotient_text(dec.quotient)], args.json)
     return 0
 
 
@@ -345,18 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r", type=_capped, required=True)
     _add_json(sub)
     sub.set_defaults(handler=_cmd_compose)
-
-    sub = commands.add_parser("core", help="just the r-core")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--r", type=_capped, required=True)
-    _add_json(sub)
-    sub.set_defaults(handler=_cmd_core)
-
-    sub = commands.add_parser("quotient", help="just the r-quotient")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--r", type=_capped, required=True)
-    _add_json(sub)
-    sub.set_defaults(handler=_cmd_quotient)
 
     sub = commands.add_parser("padic", help="base-p digits and derived data for n")
     sub.add_argument("--n", type=_capped, required=True)

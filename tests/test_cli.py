@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import ast
 import hashlib
-import io
 import json
 import re
-import shlex
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -105,11 +101,10 @@ def test_decompose_text(capsys):
     assert "weight: 0" in out
 
 
-def test_core_and_quotient_commands(capsys):
-    code, out, _ = run(capsys, "core", "--alpha", "4", "--r", "2")
-    assert code == 0 and out.strip() == "(0)"
-    code, out, _ = run(capsys, "quotient", "--alpha", "4", "--r", "2")
-    assert code == 0 and out.strip() == "(0);(2)"
+def test_decompose_json_core_and_quotient(capsys):
+    code, out, _ = run(capsys, "decompose", "--alpha", "4", "--r", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["core"] == [] and payload["quotient"] == [[], [2]]
 
 
 def test_padic_json(capsys):
@@ -207,8 +202,8 @@ def test_vanishing_deterministic(capsys):
         ("verify", "--suite", "equivalence", "--p", "2,100003"),
         ("decompose", "--alpha", "1", "--r", "100000"),
         ("compose", "--core", "0", "--quotient", "(0)", "--r", "100000"),
-        ("core", "--alpha", "1", "--r", "100000"),
-        ("quotient", "--alpha", "1", "--r", "100000"),
+        ("verify", "--suite", "conjectures", "--p", "9"),  # not prime
+        ("verify", "--suite", "conjectures", "--p", "5,x"),  # not an integer
         ("verify", "--suite", "equivalence", "--p", "2,2", "--max-n", "3"),  # repeated prime
         ("verify", "--suite", "conjectures", "--p", "5,5", "--max-n", "4"),  # repeated prime
         # full character tables past TABLE_GUARD, refused before they are built
@@ -254,6 +249,24 @@ def test_sweep_range_checked_before_sweeping(capsys):
     code, _, err = run(capsys, "vanishing", "--p", "2", "--n", "0..31")
     assert code == 2
     assert "--limit" in err
+    assert vanishing_classes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "conjectures", "--p", "5,9", "--max-n", "45"),
+        ("verify", "--suite", "equivalence", "--p", "2,3,5,9", "--max-n", "22"),
+    ],
+)
+def test_non_prime_checked_before_sweeping(capsys, argv):
+    # 9 is refused while --p is parsed, so not even the primes before it are
+    # swept: no n gets a digit context, and no vanishing classes are listed
+    pvanish.clear_caches()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "9 is not prime" in err
+    assert padic.p_adic_context.cache_info().currsize == 0
     assert vanishing_classes.cache_info().currsize == 0
 
 
@@ -445,67 +458,10 @@ def test_verify_suite_choices_are_the_registry():
 
 
 # ---------------------------------------------------------------------------
-# README examples
-# ---------------------------------------------------------------------------
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def readme_examples() -> list[tuple[list[str], list[str]]]:
-    """Each "$ pvanish ..." line of README.md with the output lines shown under it."""
-    examples: list[tuple[list[str], list[str]]] = []
-    shown = None  # the output lines of the example being read, if any
-    for line in (ROOT / "README.md").read_text().splitlines():
-        if line.startswith(("```", "$")):
-            shown = None
-            if line.startswith("$ pvanish "):
-                shown = []
-                examples.append((shlex.split(line)[2:], shown))
-        elif shown is not None:
-            shown.append(line)
-    return [(argv, shown) for argv, shown in examples if shown]
-
-
-def test_readme_examples_print_what_they_show(capsys):
-    examples = readme_examples()
-    assert {argv[0] for argv, _ in examples} >= {"char", "degree", "decompose", "compose", "padic"}
-    for argv, shown in examples:
-        code, out, _ = run(capsys, *argv)
-        assert (code, out.splitlines()) == (0, shown), argv
-
-
-def test_readme_library_example_values():
-    # each expression of the "## Library" block against the value in its
-    # comment, on the same line or on the line below
-    text = (ROOT / "README.md").read_text().split("## Library", 1)[1]
-    code = text.split("```python\n", 1)[1].split("```", 1)[0]
-    comments = {
-        tok.start[0]: tok.string[1:].strip()
-        for tok in tokenize.generate_tokens(io.StringIO(code).readline)
-        if tok.type == tokenize.COMMENT
-    }
-    lines = code.splitlines()
-    namespace: dict = {}
-    checked = []
-    for node in ast.parse(code).body:
-        if not isinstance(node, ast.Expr):
-            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-            continue
-        row = node.end_lineno
-        if row not in comments:
-            row += 1
-            assert lines[row - 1].lstrip().startswith("#"), ast.unparse(node)
-        source = ast.get_source_segment(code, node)
-        assert eval(source, namespace) == ast.literal_eval(comments[row]), source
-        checked.append(source)
-    assert len(checked) == 5
-
-
-# ---------------------------------------------------------------------------
 # byte-identical --json output
 # ---------------------------------------------------------------------------
 
-REFERENCES = ROOT / "perfbench" / "references.json"
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 @pytest.mark.parametrize(
