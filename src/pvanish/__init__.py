@@ -42,8 +42,6 @@ from .partitions import (
     r_weight,
 )
 from .vanishing import (
-    VanishEntry,
-    VanishReport,
     audit_vanishing_structure,
     base_vanishing_table,
     clear_caches,
@@ -63,8 +61,6 @@ __all__ = [
     "Partition",
     "RDecomposition",
     "SINGULARITY_METHODS",
-    "VanishEntry",
-    "VanishReport",
     "as_partition",
     "audit_vanishing_structure",
     "base_vanishing_table",

@@ -191,45 +191,40 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     if len(args.p) != 1:
         raise ValueError("vanishing takes exactly one prime")
     (p,) = args.p
-    if args.check_conjecture and p < 5:
-        raise ValueError(
-            "--check-conjecture applies to p >= 5; "
-            "for p in {2, 3} the classifier cross-check always runs"
-        )
-
     ns = _parse_range(args.n)
     if ns[-1] > args.limit:
         raise ValueError(f"n={ns[-1]} is past the sweep limit; raise --limit ({args.limit})")
     reports = list(sweep(p, ns, audit=args.audit, conjecture=args.check_conjecture))
 
-    total = sum(len(r.vanishing) for r in reports)
-    bad = sum(len(r.counterexamples) for r in reports)
+    total = sum(len(r["vanishing"]) for r in reports)
+    bad = sum(len(r["counterexamples"]) for r in reports)
     lines = [f"p={p} vanishing cycle types, n={args.n} ({total} classes)"]
     marked = False
     for report in reports:
-        for entry in report.vanishing:
+        n = report["n"]
+        for entry in report["vanishing"]:
             mark = ""
-            if not entry.p_adic_type:
+            if not entry["p_adic_type"]:
                 mark = " *"
                 marked = True
-            lines.append(f"  n={report.n:<3d} {format_partition(entry.parts)}{mark}")
-        for item in report.counterexamples:
-            lines.append(f"  COUNTEREXAMPLE n={report.n}: {json.dumps(item)}")
-        for name, status in report.audits.items():
+            lines.append(f"  n={n:<3d} {format_partition(entry['parts'])}{mark}")
+        for item in report["counterexamples"]:
+            lines.append(f"  COUNTEREXAMPLE n={n}: {json.dumps(item)}")
+        for name, status in report["audits"].items():
             if name == "structure":
                 status = "pass" if status.get("passed") else "FAIL"
             elif status is True:
                 continue  # agreement is the expected state; only failures are news
-            lines.append(f"  audit n={report.n} {name}: {status}")
+            lines.append(f"  audit n={n} {name}: {status}")
     if marked:
         lines.append("(* marks classes that are not of p-adic type)")
     if args.check_conjecture:
-        lines.extend(summary(p, f"n={r.n}", [r]) for r in reports)
+        lines.extend(summary(p, f"n={r['n']}", [r]) for r in reports)
 
     payload = {
         "schema_version": 1,
         "p": p,
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": reports,
         "total_vanishing": total,
         "counterexample_count": bad,
     }
@@ -239,48 +234,53 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
-    if args.p and args.suite != "all" and not verify_mod.SUITES[args.suite][0]:
-        raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
+    if args.p and args.suite != "all":
+        if args.suite not in verify_mod.PRIMES_TAKEN:
+            raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
+        verify_mod.check_primes(args.suite, args.p)
     bounds = {
         name: verify_mod.SUITES[name][1] if args.max_n is None else args.max_n for name in names
     }
     for name, bound in bounds.items():  # every bound, before the first suite runs
         verify_mod.check_table_guard(name, bound)
-    # under "all", a suite with 0 checks (none of its primes given) is only
-    # named as skipped; it is an error when no suite ran a check
+    # under "all", each suite gets the primes it takes, and one with 0 checks
+    # (none of its primes given) is only named as skipped; it is an error
+    # when no suite ran a check
     results, skipped = [], []
     for name, bound in bounds.items():
         default_primes, _, runner = verify_mod.SUITES[name]
-        result = runner(list(args.p or default_primes), bound)
-        (results if result.checks else skipped).append(result)
+        takes = verify_mod.PRIMES_TAKEN.get(name)
+        result = runner([p for p in args.p or default_primes if takes and takes(p)], bound)
+        (results if result["checks"] else skipped).append(result)
     if not results:
         raise ValueError(
             f"suite {args.suite!r} ran 0 checks with these options; nothing was verified"
         )
 
-    width = max(len(r.name) for r in results)
+    width = max(len(r["name"]) for r in results)
     lines = []
     for r in results:
-        status = "pass" if r.passed else "FAIL"
+        violations = r["violations"]
         lines.append(
-            f"{r.name:<{width}}  {r.checks:>9d} checks  "
-            f"{len(r.violations):>3d} violations  {r.elapsed:7.2f}s  {status}"
+            f"{r['name']:<{width}}  {r['checks']:>9d} checks  {len(violations):>3d} violations  "
+            f"{r['elapsed']:7.2f}s  {'pass' if r['passed'] else 'FAIL'}"
         )
-        for item in r.violations[:10]:
+        for item in violations[:10]:
             lines.append(f"  witness: {json.dumps(item)}")
-        if len(r.violations) > 10:
-            lines.append(f"  ... and {len(r.violations) - 10} more")
+        if len(violations) > 10:
+            lines.append(f"  ... and {len(violations) - 10} more")
     if skipped:
-        lines.append("skipped, 0 checks with these options: " + ", ".join(r.name for r in skipped))
-    failed = [r for r in results if not r.passed]
+        names = ", ".join(r["name"] for r in skipped)
+        lines.append(f"skipped, 0 checks with these options: {names}")
+    failed = [r for r in results if not r["passed"]]
     lines.append(
-        f"{len(results)} suite(s), {sum(r.checks for r in results)} checks, "
+        f"{len(results)} suite(s), {sum(r['checks'] for r in results)} checks, "
         f"{len(failed)} failed"
     )
 
     payload = {
         "schema_version": 1,
-        "suites": [r.to_json_dict() for r in results],
+        "suites": results,
         "failed": len(failed),
     }
     _emit(payload, lines, args.json)

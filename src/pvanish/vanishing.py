@@ -41,7 +41,7 @@ later n read.  clear_caches drops every table.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .characters import _char, _column, _multi, _nonzero_row, centralizer_order
 from .padic import (
@@ -464,37 +464,6 @@ def audit_vanishing_structure(ctx: PAdicContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class VanishEntry(NamedTuple):
-    parts: Partition
-    p_adic_type: bool
-    split_i: int | None
-
-
-class VanishReport(NamedTuple):
-    n: int
-    p: int
-    vanishing: list[VanishEntry]
-    audits: dict
-    counterexamples: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "p": self.p,
-            "vanishing": [
-                {
-                    "parts": list(e.parts),
-                    "p_adic_type": e.p_adic_type,
-                    "split_i": e.split_i,
-                }
-                for e in self.vanishing
-            ],
-            "audits": self.audits,
-            "counterexamples": self.counterexamples,
-        }
-
-
 def _witness_json(beta: Partition, p: int) -> list | None:
     """The witness of a reported class, [label, value], or None if the oracle finds none."""
     witness = nonvanishing_witness(beta, p)
@@ -503,8 +472,12 @@ def _witness_json(beta: Partition, p: int) -> list | None:
 
 def list_p_vanishing(
     ctx: PAdicContext, *, audit: bool = False, conjecture: bool = False
-) -> VanishReport:
+) -> dict:
     """All p-vanishing cycle types of S_n, annotated, in enumeration order.
+
+    Returns the JSON dict of one n, as the CLI prints it: schema_version, n,
+    p, vanishing (one {"parts", "p_adic_type", "split_i"} per class, parts
+    as a list and split_i None for p >= 5), audits and counterexamples.
 
     Each disagreement between the brute-force vanishing set and a predicted
     set lands in counterexamples.  For p in {2, 3} the prediction is the
@@ -521,7 +494,10 @@ def list_p_vanishing(
                                          the last digit a_0 sum to more than a_0
     """
     if conjecture and ctx.p < 5:
-        raise ValueError(f"conjecture scans apply to p >= 5, got p={ctx.p}")
+        raise ValueError(
+            f"conjecture scans apply to p >= 5, got p={ctx.p}; "
+            "for p in {2, 3} the classifier cross-check always runs"
+        )
     vanishing = vanishing_classes(ctx.n, ctx.p)
     vanishing_set = set(vanishing)
     structural = ctx.p in STRUCTURAL_LEVEL
@@ -542,11 +518,11 @@ def list_p_vanishing(
             )
         audits["structural_agreement"] = not counterexamples
     entries = [
-        VanishEntry(
-            parts=beta,
-            p_adic_type=is_p_adic_type(beta, ctx),
-            split_i=structural_split(beta, ctx) if structural else None,
-        )
+        {
+            "parts": list(beta),
+            "p_adic_type": is_p_adic_type(beta, ctx),
+            "split_i": structural_split(beta, ctx) if structural else None,
+        }
         for beta in vanishing
     ]
     if audit:
@@ -554,9 +530,9 @@ def list_p_vanishing(
         counterexamples.extend(audits["structure"]["violations"])
     if conjecture:
         counterexamples.extend(
-            {"kind": "vanishing_without_p_adic_type", "beta": list(e.parts)}
-            for e in entries
-            if not e.p_adic_type
+            {"kind": "vanishing_without_p_adic_type", "beta": list(beta)}
+            for beta, entry in zip(vanishing, entries)
+            if not entry["p_adic_type"]
         )
         for beta in p_adic_type_classes(ctx):
             if beta not in vanishing_set:
@@ -581,14 +557,19 @@ def list_p_vanishing(
                         "bound": a0,
                     }
                 )
-    return VanishReport(
-        n=ctx.n, p=ctx.p, vanishing=entries, audits=audits, counterexamples=counterexamples
-    )
+    return {
+        "schema_version": 1,
+        "n": ctx.n,
+        "p": ctx.p,
+        "vanishing": entries,
+        "audits": audits,
+        "counterexamples": counterexamples,
+    }
 
 
 def sweep(
     p: int, ns: Iterable[int], *, audit: bool = False, conjecture: bool = False
-) -> Iterator[VanishReport]:
+) -> Iterator[dict]:
     """The report of each n in ns, in order: the one per-n loop of every range sweep.
 
     After each n it drops the two memo tables that grow with n, _char and
@@ -603,13 +584,13 @@ def sweep(
         _pprime_masks.cache_clear()
 
 
-def _conjecture_kinds(reports: Iterable[VanishReport]) -> list[str]:
+def _conjecture_kinds(reports: Iterable[dict]) -> list[str]:
     # the conjecture's counterexamples are the only ones of p >= 5 with a kind;
     # the audit's violations carry a predicate instead
-    return [c["kind"] for r in reports if r.p >= 5 for c in r.counterexamples if "kind" in c]
+    return [c["kind"] for r in reports if r["p"] >= 5 for c in r["counterexamples"] if "kind" in c]
 
 
-def summary(p: int, where: str, reports: Iterable[VanishReport]) -> str:
+def summary(p: int, where: str, reports: Iterable[dict]) -> str:
     """One line counting the conjecture's counterexamples in reports, at where ("n=7")."""
     found = len(_conjecture_kinds(reports))
     if not found:
@@ -617,7 +598,7 @@ def summary(p: int, where: str, reports: Iterable[VanishReport]) -> str:
     return f"p={p} {where}: {found} counterexample(s)"
 
 
-def equivalence_consistent(reports: Iterable[VanishReport]) -> bool:
+def equivalence_consistent(reports: Iterable[dict]) -> bool:
     """The two conjectures stand or fall together across the reports.
 
     If the small-part sum bound held everywhere scanned, the type

@@ -1,9 +1,10 @@
 """Batch self-verification sweeps.
 
 Each runner exhaustively checks one family of identities over a stated range
-and returns a SuiteResult carrying the number of checks and any violations,
-each violation with a full witness.  Runners never stop at the first failure;
-they exist to certify ranges, not to shortcut them.
+and returns the JSON dict that `verify --json` prints: name, checks (the
+number of checks), violations (each with a full witness), passed and
+elapsed.  Runners never stop at the first failure; they exist to certify
+ranges, not to shortcut them.
 """
 
 from __future__ import annotations
@@ -28,59 +29,35 @@ from .characters import (
 from .padic import SINGULARITY_METHODS, is_p_singular, p_adic_context
 from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions
 from .partitions import partition_count, r_decompose
-from .vanishing import equivalence_consistent, sweep
-
-
-class SuiteResult:
-    __slots__ = ("name", "checks", "violations", "elapsed")
-
-    def __init__(
-        self, name: str, checks: int = 0, violations: list[dict] | None = None, elapsed: float = 0.0
-    ) -> None:
-        self.name = name
-        self.checks = checks
-        self.violations = [] if violations is None else violations
-        self.elapsed = elapsed
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checks": self.checks,
-            "violations": self.violations,
-            "passed": self.passed,
-            "elapsed": round(self.elapsed, 3),
-        }
+from .vanishing import STRUCTURAL_LEVEL, equivalence_consistent, sweep
 
 
 def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteResult:
+    """Add passed and elapsed (seconds, to 3 places) to the suite's {name, checks, violations}."""
+
+    def wrapper(*args, **kwargs) -> dict:
         start = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - start
+        result["passed"] = not result["violations"]
+        result["elapsed"] = round(time.perf_counter() - start, 3)
         return result
 
     return wrapper
 
 
 @_timed
-def equivalence_suite(primes: list[int], max_n: int) -> SuiteResult:
+def equivalence_suite(primes: list[int], max_n: int) -> dict:
     """The four singularity tests agree on every label."""
-    res = SuiteResult("equivalence")
+    checks, violations = 0, []
     for p in primes:
         for n in range(max_n + 1):
             ctx = p_adic_context(n, p)
             for alpha in enumerate_partitions(n):
                 answers = {m: is_p_singular(alpha, ctx, m) for m in SINGULARITY_METHODS}
-                res.checks += 1
+                checks += 1
                 if len(set(answers.values())) != 1:
-                    res.violations.append(
-                        {"p": p, "n": n, "alpha": list(alpha), "answers": answers}
-                    )
-    return res
+                    violations.append({"p": p, "n": n, "alpha": list(alpha), "answers": answers})
+    return {"name": "equivalence", "checks": checks, "violations": violations}
 
 
 def _gram_mismatches(left, right, diagonal):
@@ -125,6 +102,24 @@ def _gram_mismatches(left, right, diagonal):
                 yield i, j, got
 
 
+# The primes each suite that takes primes sweeps; the other suites take none.
+# A suite refuses any other prime (check_primes), and under `verify --suite
+# all` the CLI gives each suite only the primes it takes.
+PRIMES_TAKEN: dict[str, Callable[[int], bool]] = {
+    "equivalence": lambda p: True,
+    "split-classifier": lambda p: p in STRUCTURAL_LEVEL,
+    "structure": lambda p: True,
+    "conjectures": lambda p: p >= 5,
+}
+
+
+def check_primes(name: str, primes: list[int]) -> None:
+    """Refuse a prime that suite name does not sweep, before anything is swept."""
+    for p in primes:
+        if not PRIMES_TAKEN[name](p):
+            raise ValueError(f"suite {name!r} does not take p={p}")
+
+
 def check_table_guard(name: str, max_n: int) -> None:
     """Refuse max_n past TABLE_GUARD for a suite that builds full character tables.
 
@@ -136,14 +131,14 @@ def check_table_guard(name: str, max_n: int) -> None:
 
 
 @_timed
-def orthogonality_suite(max_n: int) -> SuiteResult:
+def orthogonality_suite(max_n: int) -> dict:
     """Row and column orthogonality of the full character table, exactly.
 
     Each Gram matrix is checked one packed row at a time (_gram_mismatches);
     every (i, j) entry still counts as one check.
     """
     check_table_guard("orthogonality", max_n)
-    res = SuiteResult("orthogonality")
+    checks, violations = 0, []
     for n in range(max_n + 1):
         table = character_table(n)
         labels, rows = table.labels, table.values
@@ -152,20 +147,20 @@ def orthogonality_suite(max_n: int) -> SuiteResult:
         # class sizes folded into one side of each row sum
         weighted = [list(map(mul, sizes, row)) for row in rows]
         for i, j, got in _gram_mismatches(weighted, rows, [order] * len(labels)):
-            res.violations.append(
+            violations.append(
                 {"kind": "row", "n": n, "a1": list(labels[i]), "a2": list(labels[j]), "got": got}
             )
         columns = list(zip(*rows))
         for i, j, got in _gram_mismatches(columns, columns, list(map(centralizer_order, labels))):
-            res.violations.append(
+            violations.append(
                 {"kind": "column", "n": n, "b1": list(labels[i]), "b2": list(labels[j]), "got": got}
             )
-        res.checks += 2 * len(labels) ** 2
-    return res
+        checks += 2 * len(labels) ** 2
+    return {"name": "orthogonality", "checks": checks, "violations": violations}
 
 
 @_timed
-def degree_column_suite(max_n: int) -> SuiteResult:
+def degree_column_suite(max_n: int) -> dict:
     """Hook-length degree obeys the branching rule.
 
     deg(()) = 1 and deg(alpha) is the sum of deg(alpha minus one corner) over
@@ -173,7 +168,7 @@ def degree_column_suite(max_n: int) -> SuiteResult:
     beta-set masks, one 1-hook removal per corner, independently of the hook
     length formula, so a wrong degree is flagged at every label it affects.
     """
-    res = SuiteResult("degree-column")
+    checks, violations = 0, []
     below: dict[int, int] = {}
     for n in range(max_n + 1):
         level = {}
@@ -182,17 +177,17 @@ def degree_column_suite(max_n: int) -> SuiteResult:
             branching = sum(below[new] for _, new in _rim_moves(mask, 1)) if n else 1
             level[mask] = branching
             hook = degree(alpha)
-            res.checks += 1
+            checks += 1
             if hook != branching:
-                res.violations.append(
+                violations.append(
                     {"n": n, "alpha": list(alpha), "degree": hook, "branching": branching}
                 )
         below = level
-    return res
+    return {"name": "degree-column", "checks": checks, "violations": violations}
 
 
 @_timed
-def conjugation_twist_suite(max_n: int) -> SuiteResult:
+def conjugation_twist_suite(max_n: int) -> dict:
     """Transposing the label multiplies values by the sign of the class.
 
     Builds the character table of each S_n once and compares the row of the
@@ -200,7 +195,7 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
     one check per (label, class) cell.
     """
     check_table_guard("conjugation-twist", max_n)
-    res = SuiteResult("conjugation-twist")
+    checks, violations = 0, []
     for n in range(max_n + 1):
         table = character_table(n)
         labels, rows = table.labels, table.values
@@ -209,48 +204,45 @@ def conjugation_twist_suite(max_n: int) -> SuiteResult:
         for alpha, row in zip(labels, rows):
             twisted = row_of[conjugate(alpha)]
             for beta, sign, value, value_t in zip(labels, signs, row, twisted):
-                res.checks += 1
+                checks += 1
                 if value_t != sign * value:
-                    res.violations.append(
-                        {"n": n, "alpha": list(alpha), "beta": list(beta)}
-                    )
-    return res
+                    violations.append({"n": n, "alpha": list(alpha), "beta": list(beta)})
+    return {"name": "conjugation-twist", "checks": checks, "violations": violations}
 
 
 @_timed
-def split_classifier_suite(primes: list[int], max_n: int) -> SuiteResult:
+def split_classifier_suite(primes: list[int], max_n: int) -> dict:
     """Structural classifier agrees with brute force on every cycle type.
 
     Each n's report compares the two sets of classes; every class counts as
     one check, and each class in one set but not the other is a violation.
     """
-    res = SuiteResult("split-classifier")
+    check_primes("split-classifier", primes)
+    checks, violations = 0, []
     for p in primes:
-        if p not in (2, 3):
-            continue
         for report in sweep(p, range(max_n + 1)):
-            res.checks += partition_count(report.n)
-            res.violations.extend(
-                {"p": p, "n": report.n, "beta": c["beta"], "bruteforce": c["bruteforce"]}
-                for c in report.counterexamples
+            checks += partition_count(report["n"])
+            violations.extend(
+                {"p": p, "n": report["n"], "beta": c["beta"], "bruteforce": c["bruteforce"]}
+                for c in report["counterexamples"]
             )
-    return res
+    return {"name": "split-classifier", "checks": checks, "violations": violations}
 
 
 @_timed
-def structure_suite(primes: list[int], max_n: int) -> SuiteResult:
+def structure_suite(primes: list[int], max_n: int) -> dict:
     """Necessary-condition audits over every vanishing cycle type."""
-    res = SuiteResult("structure")
+    checks, violations = 0, []
     for p in primes:
         for report in sweep(p, range(max_n + 1), audit=True):
-            audit = report.audits["structure"]
-            res.checks += sum(audit["checked"].values())
-            res.violations.extend({**v, "p": p, "n": report.n} for v in audit["violations"])
-    return res
+            audit = report["audits"]["structure"]
+            checks += sum(audit["checked"].values())
+            violations.extend({**v, "p": p, "n": report["n"]} for v in audit["violations"])
+    return {"name": "structure", "checks": checks, "violations": violations}
 
 
 @_timed
-def factorization_suite(max_n: int) -> SuiteResult:
+def factorization_suite(max_n: int) -> dict:
     """Character on a class with cycles divisible by r factors through core and quotient.
 
     For every alpha, r in 2..5, gamma a partition of the r-weight and lam of
@@ -262,7 +254,7 @@ def factorization_suite(max_n: int) -> SuiteResult:
     size are listed once, the alpha, core and quotient masks are built once
     per (alpha, r), and the quotient factor once per gamma.
     """
-    res = SuiteResult("factorization")
+    checks, violations = 0, []
     partitions = [list(enumerate_partitions(m)) for m in range(max_n + 1)]
     for n in range(max_n + 1):
         for alpha in partitions[n]:
@@ -277,9 +269,9 @@ def factorization_suite(max_n: int) -> SuiteResult:
                     for lam in lams:
                         direct = _column(merged_cycle_type(r, gamma, lam)).get(alpha_mask, 0)
                         split = q * _char(core_mask, lam)
-                        res.checks += 1
+                        checks += 1
                         if direct != split:
-                            res.violations.append(
+                            violations.append(
                                 {
                                     "n": n,
                                     "alpha": list(alpha),
@@ -290,7 +282,7 @@ def factorization_suite(max_n: int) -> SuiteResult:
                                     "split": split,
                                 }
                             )
-    return res
+    return {"name": "factorization", "checks": checks, "violations": violations}
 
 
 def _label_tuples(total: int, components: int):
@@ -306,7 +298,7 @@ def _label_tuples(total: int, components: int):
 
 
 @_timed
-def multichar_suite(max_total: int) -> SuiteResult:
+def multichar_suite(max_total: int) -> dict:
     """Multi-label values: removal-order independence and the induction formula.
 
     Label tuples have one to three components.  Both peel orders (largest
@@ -316,7 +308,7 @@ def multichar_suite(max_total: int) -> SuiteResult:
     entries; the induced column of each label tuple is also built once and
     read class by class.
     """
-    res = SuiteResult("multichar")
+    checks, violations = 0, []
     for total in range(max_total + 1):
         classes = list(enumerate_partitions(total))
         for s in (1, 2, 3):
@@ -325,7 +317,7 @@ def multichar_suite(max_total: int) -> SuiteResult:
                 column = induced_character_values(labels)
                 for lam in classes:
                     lead = _multi(masks, lam)
-                    res.checks += 1
+                    checks += 1
                     bad = {}
                     trail = _multi(masks, lam[::-1])
                     if trail != lead:
@@ -334,7 +326,7 @@ def multichar_suite(max_total: int) -> SuiteResult:
                     if induced != lead:
                         bad["induced"] = induced
                     if bad:
-                        res.violations.append(
+                        violations.append(
                             {
                                 "labels": [list(l) for l in labels],
                                 "lam": list(lam),
@@ -342,23 +334,22 @@ def multichar_suite(max_total: int) -> SuiteResult:
                                 **bad,
                             }
                         )
-    return res
+    return {"name": "multichar", "checks": checks, "violations": violations}
 
 
 @_timed
-def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
+def conjecture_suite(primes: list[int], max_n: int) -> dict:
     """Counterexample hunt for p >= 5; a found counterexample is a violation."""
-    res = SuiteResult("conjectures")
+    check_primes("conjectures", primes)
+    checks, violations = 0, []
     for p in primes:
-        if p < 5:
-            continue
         reports = list(sweep(p, range(max_n + 1), conjecture=True))
         # every class of every S_n is classified, once
-        res.checks += sum(partition_count(r.n) for r in reports)
-        res.violations.extend({**c, "p": p} for r in reports for c in r.counterexamples)
+        checks += sum(partition_count(r["n"]) for r in reports)
+        violations.extend({**c, "p": p} for r in reports for c in r["counterexamples"])
         if not equivalence_consistent(reports):
-            res.violations.append({"kind": "conjecture_equivalence_broken", "p": p})
-    return res
+            violations.append({"kind": "conjecture_equivalence_broken", "p": p})
+    return {"name": "conjectures", "checks": checks, "violations": violations}
 
 
 # Every suite in run order: name -> (default primes, default bound, runner).
@@ -367,7 +358,7 @@ def conjecture_suite(primes: list[int], max_n: int) -> SuiteResult:
 # With the default bounds, `verify --suite all` takes 0.8-0.9 s in-process on
 # one core of a 2-core Xeon VM under Python 3.11 (the VM drifts between speed
 # states); equivalence, at 0.30-0.41 s, is the largest share.
-SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], SuiteResult]]] = {
+SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], dict]]] = {
     "equivalence": ((2, 3, 5), 22, lambda primes, n: equivalence_suite(primes, n)),
     "orthogonality": ((), 13, lambda primes, n: orthogonality_suite(n)),
     "degree-column": ((), 26, lambda primes, n: degree_column_suite(n)),

@@ -100,15 +100,15 @@ def test_ac1_small_table_reproduction(capsys):
 
 def test_ac2_singularity_four_way_equivalence(capsys):
     result = equivalence_suite([2, 3, 5], 20)
-    ok = result.passed and result.elapsed < 120.0
+    ok = result["passed"] and result["elapsed"] < 120.0
     report(
         capsys,
         "AC2 singularity four-way equivalence",
         ok,
-        f"{result.elapsed:.1f}s, {result.checks} checks",
+        f"{result['elapsed']:.1f}s, {result['checks']} checks",
     )
-    assert result.violations == []
-    assert result.elapsed < 120.0
+    assert result["violations"] == []
+    assert result["elapsed"] < 120.0
 
 
 def test_ac3_p_adic_type_implies_vanishing(capsys):
@@ -139,14 +139,14 @@ def test_ac3_p_adic_type_implies_vanishing(capsys):
 def test_ac4_dual_classifier_agreement(capsys):
     res2 = split_classifier_suite([2], 16)
     res3 = split_classifier_suite([3], 15)
-    elapsed = res2.elapsed + res3.elapsed
-    violations = res2.violations + res3.violations
+    elapsed = res2["elapsed"] + res3["elapsed"]
+    violations = res2["violations"] + res3["violations"]
     ok = not violations and elapsed < 600.0
     report(
         capsys,
         "AC4 dual-classifier agreement",
         ok,
-        f"{elapsed:.1f}s, {res2.checks + res3.checks} classes",
+        f"{elapsed:.1f}s, {res2['checks'] + res3['checks']} classes",
     )
     assert violations == []
     assert elapsed < 600.0
@@ -154,45 +154,45 @@ def test_ac4_dual_classifier_agreement(capsys):
 
 def test_ac5_core_quotient_factorization(capsys):
     result = factorization_suite(12)
-    ok = result.passed and result.elapsed < 300.0
+    ok = result["passed"] and result["elapsed"] < 300.0
     report(
         capsys,
         "AC5 core-quotient factorization",
         ok,
-        f"{result.elapsed:.1f}s, {result.checks} identities",
+        f"{result['elapsed']:.1f}s, {result['checks']} identities",
     )
-    assert result.violations == []
-    assert result.elapsed < 300.0
+    assert result["violations"] == []
+    assert result["elapsed"] < 300.0
 
 
 def test_ac6_character_table_oracles(capsys):
     orth = orthogonality_suite(10)
     deg = degree_column_suite(14)
     twist = conjugation_twist_suite(12)
-    ok = orth.passed and deg.passed and twist.passed
+    ok = orth["passed"] and deg["passed"] and twist["passed"]
     report(
         capsys,
         "AC6 character-table oracles",
         ok,
-        f"{orth.checks + deg.checks + twist.checks} checks",
+        f"{orth['checks'] + deg['checks'] + twist['checks']} checks",
     )
-    assert orth.violations == []
-    assert deg.violations == []
-    assert twist.violations == []
+    assert orth["violations"] == []
+    assert deg["violations"] == []
+    assert twist["violations"] == []
 
 
 def test_ac7_label_tuple_oracles(capsys):
     result = multichar_suite(8)
-    ok = result.passed
-    report(capsys, "AC7 label-tuple oracles", ok, f"{result.checks} checks")
-    assert result.violations == []
+    ok = result["passed"]
+    report(capsys, "AC7 label-tuple oracles", ok, f"{result['checks']} checks")
+    assert result["violations"] == []
 
 
 def test_ac8_structure_audits(capsys):
     result = structure_suite([2, 3], 14)
-    ok = result.passed
-    report(capsys, "AC8 structure audits", ok, f"{result.checks} predicate checks")
-    assert result.violations == []
+    ok = result["passed"]
+    report(capsys, "AC8 structure audits", ok, f"{result['checks']} predicate checks")
+    assert result["violations"] == []
 
 
 def test_ac9_conjecture_sweeps(capsys):
@@ -202,7 +202,7 @@ def test_ac9_conjecture_sweeps(capsys):
         (7, 16): list(sweep(7, range(0, 17), conjecture=True)),
     }
     elapsed = time.perf_counter() - start
-    counterexamples = [c for s in sweeps.values() for r in s for c in r.counterexamples]
+    counterexamples = [c for s in sweeps.values() for r in s for c in r["counterexamples"]]
     summaries = [summary(p, f"n<={top}", s) for (p, top), s in sweeps.items()]
     consistent = all(equivalence_consistent(s) for s in sweeps.values())
     worded = all("no counterexample found" in s for s in summaries) and not any(

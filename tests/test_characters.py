@@ -157,12 +157,12 @@ def test_non_partition_label_rejected(fn, args):
 
 def test_orthogonality_small():
     result = orthogonality_suite(8)
-    assert result.passed and result.checks > 0
+    assert result["passed"] and result["checks"] > 0
 
 
 def test_degree_column_suite_small():
     result = degree_column_suite(10)
-    assert result.passed and result.checks > 0
+    assert result["passed"] and result["checks"] > 0
 
 
 @pytest.fixture
@@ -188,19 +188,19 @@ def wrong_degree(monkeypatch):
 def test_degree_column_suite_flags_wrong_degree(wrong_degree):
     wrong_degree(lambda alpha: 7)
     result = degree_column_suite(8)
-    assert result.checks == sum(len(list(enumerate_partitions(n))) for n in range(9))
-    assert any(v["n"] >= 1 for v in result.violations)
+    assert result["checks"] == sum(len(list(enumerate_partitions(n))) for n in range(9))
+    assert any(v["n"] >= 1 for v in result["violations"])
 
 
 def test_degree_column_suite_flags_one_wrong_label(wrong_degree):
     wrong_degree(lambda alpha: alpha == (3, 2))
     result = degree_column_suite(8)
-    assert result.violations == [{"n": 5, "alpha": [3, 2], "degree": 6, "branching": 5}]
+    assert result["violations"] == [{"n": 5, "alpha": [3, 2], "degree": 6, "branching": 5}]
 
 
 def test_conjugation_twist_suite_small():
     result = conjugation_twist_suite(9)
-    assert result.passed and result.checks > 0
+    assert result["passed"] and result["checks"] > 0
 
 
 def _flipped_table(n):
@@ -216,13 +216,13 @@ def _flipped_table(n):
 def test_orthogonality_suite_flags_flipped_cell(monkeypatch):
     monkeypatch.setattr(verify, "character_table", _flipped_table)
     result = orthogonality_suite(5)
-    assert result.checks == 2 * sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
+    assert result["checks"] == 2 * sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
     # the identity class has size 1, so row (3,1) against row a moves by
     # -6 * deg(a), and column (1^4) against column b by -6 * chi^(3,1)(b);
     # the squared cell leaves both diagonals alone, and chi^(3,1)(3,1) = 0
     # leaves that column pair alone
     one = [1, 1, 1, 1]
-    assert result.violations == [
+    assert result["violations"] == [
         {"kind": "row", "n": 4, "a1": [4], "a2": [3, 1], "got": -6},
         {"kind": "row", "n": 4, "a1": [3, 1], "a2": [4], "got": -6},
         {"kind": "row", "n": 4, "a1": [3, 1], "a2": [2, 2], "got": -12},
@@ -277,9 +277,9 @@ def test_packed_gram_one_by_one(value):
 def test_conjugation_twist_suite_flags_flipped_cell(monkeypatch):
     monkeypatch.setattr(verify, "character_table", _flipped_table)
     result = conjugation_twist_suite(5)
-    assert result.checks == sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
+    assert result["checks"] == sum(len(list(enumerate_partitions(n))) ** 2 for n in range(6))
     # the cell is read once from its own row and once from the conjugate's
-    assert result.violations == [
+    assert result["violations"] == [
         {"n": 4, "alpha": [3, 1], "beta": [1, 1, 1, 1]},
         {"n": 4, "alpha": [2, 1, 1], "beta": [1, 1, 1, 1]},
     ]
@@ -315,7 +315,7 @@ def test_centralizer_known_values():
 
 def test_factorization_suite_small():
     result = factorization_suite(9)
-    assert result.passed and result.checks > 0
+    assert result["passed"] and result["checks"] > 0
 
 
 def _factored_value(alpha, r, gamma, lam):
@@ -342,7 +342,7 @@ def test_factorization_suite_flags_wrong_sign(monkeypatch):
 
     monkeypatch.setattr(verify, "r_decompose", flipped)
     result = factorization_suite(5)
-    assert result.checks == sum(
+    assert result["checks"] == sum(
         len(list(enumerate_partitions(w))) * len(list(enumerate_partitions(n - r * w)))
         for n in range(6)
         for alpha in enumerate_partitions(n)
@@ -350,7 +350,7 @@ def test_factorization_suite_flags_wrong_sign(monkeypatch):
         for w in [r_decompose(alpha, r).weight]
     )
     # (3,1) has empty 2-core and 2-weight 2, and its value is -1 on (4) and on (2,2)
-    assert result.violations == [
+    assert result["violations"] == [
         {"n": 4, "alpha": [3, 1], "r": 2, "gamma": [2], "lam": [], "direct": -1, "split": 1},
         {"n": 4, "alpha": [3, 1], "r": 2, "gamma": [1, 1], "lam": [], "direct": -1, "split": 1},
     ]
@@ -387,7 +387,7 @@ def test_merged_cycle_type():
 
 def test_multichar_suite_small():
     result = multichar_suite(6)
-    assert result.passed and result.checks > 0
+    assert result["passed"] and result["checks"] > 0
 
 
 def test_multichar_suite_flags_a_fault_in_hook_removal(monkeypatch):
@@ -406,8 +406,8 @@ def test_multichar_suite_flags_a_fault_in_hook_removal(monkeypatch):
         # the mutated values sit in the memo tables
         monkeypatch.undo()
         pvanish.clear_caches()
-    assert (result.checks, len(result.violations)) == (4850, 1026)
-    assert all("induced" in v and "smallest_first" not in v for v in result.violations)
+    assert (result["checks"], len(result["violations"])) == (4850, 1026)
+    assert all("induced" in v and "smallest_first" not in v for v in result["violations"])
 
 
 def test_multichar_suite_flags_a_fault_in_one_peel_order(monkeypatch):
@@ -422,8 +422,8 @@ def test_multichar_suite_flags_a_fault_in_one_peel_order(monkeypatch):
 
     monkeypatch.setattr(verify, "_multi", skewed)
     result = multichar_suite(3)
-    assert len(result.violations) == 35
-    for v in result.violations:
+    assert len(result["violations"]) == 35
+    for v in result["violations"]:
         assert (v["lam"], v["smallest_first"]) == ([2, 1], v["value"] + 1)
         assert "induced" not in v
 

@@ -11,7 +11,7 @@ import pytest
 
 import pvanish
 from pvanish import characters, cli, padic, vanishing, verify
-from pvanish.vanishing import VanishReport, vanishing_classes
+from pvanish.vanishing import sweep, vanishing_classes
 
 
 def run(capsys, *argv):
@@ -221,6 +221,19 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--alpha", "3,1", "--r", "0"),
+        ("compose", "--core", "0", "--quotient", "", "--r", "0"),
+    ],
+)
+def test_zero_modulus_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "modulus must be >= 1" in err
+
+
 def test_size_caps_admit_the_cap(capsys):
     code, out, _ = run(capsys, "compose", "--core", "0", "--quotient", "(5000);(0)", "--r", "2")
     assert (code, out.strip()) == (0, "(9999,1)")
@@ -331,18 +344,43 @@ def test_help_exits_0(capsys):
 def test_counterexample_exit_1(capsys, monkeypatch):
     # plumbing check only: force one counterexample through the report path
     def fake_report(ctx, *, audit=False, conjecture=False):
-        return VanishReport(
-            n=ctx.n,
-            p=ctx.p,
-            vanishing=[],
-            audits={},
-            counterexamples=[{"kind": "classifier_disagreement", "beta": [ctx.n]}],
-        )
+        return {
+            "schema_version": 1,
+            "n": ctx.n,
+            "p": ctx.p,
+            "vanishing": [],
+            "audits": {},
+            "counterexamples": [{"kind": "classifier_disagreement", "beta": [ctx.n]}],
+        }
 
     monkeypatch.setattr(vanishing, "list_p_vanishing", fake_report)
     code, out, _ = run(capsys, "vanishing", "--p", "2", "--n", "4")
     assert code == 1
     assert "COUNTEREXAMPLE" in out
+
+
+def test_base_table_mismatch_exits_1(capsys, monkeypatch):
+    # a stored base class that brute force does not find is a violation
+    pvanish.clear_caches()
+    monkeypatch.setitem(vanishing._BASE_TABLE[2], 4, frozenset({(2, 1, 1)}))
+    code, out, err = run(capsys, "vanishing", "--p", "2", "--n", "8")
+    pvanish.clear_caches()
+    assert (code, out) == (1, "")
+    assert err.startswith("violation: base table mismatch at p=2, n=4: ")
+
+
+def test_conjecture_scan_refuses_small_prime_before_sweeping(capsys):
+    pvanish.clear_caches()
+    code, out, err = run(capsys, "vanishing", "--p", "3", "--n", "5", "--check-conjecture")
+    assert (code, out) == (2, "")
+    assert "for p in {2, 3} the classifier cross-check always runs" in err
+    assert vanishing_classes.cache_info().currsize == 0
+
+
+def test_vanishing_json_reports_are_the_sweep_reports(capsys):
+    code, out, _ = run(capsys, "vanishing", "--p", "2", "--n", "0..12", "--audit", "--json")
+    assert code == 0
+    assert json.loads(out)["reports"] == list(sweep(2, range(13), audit=True))
 
 
 def test_missed_type_without_witness_exits_1(capsys, monkeypatch):
@@ -402,10 +440,51 @@ def test_verify_split_classifier(capsys):
     ],
 )
 def test_verify_zero_checks_exit_2(capsys, argv):
+    # no prime of the list is in the suite's range: refused by its first prime
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "0 checks" in err
+    assert f"does not take p={argv[-1].split(',')[0]}" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,prime",
+    [
+        (("verify", "--suite", "conjectures", "--p", "3,5", "--max-n", "10"), 3),
+        (("verify", "--suite", "split-classifier", "--p", "2,5", "--max-n", "10"), 5),
+    ],
+)
+def test_named_suite_refuses_a_prime_it_does_not_take(capsys, argv, prime):
+    # one prime of the list is in range, one is not: nothing is swept, not
+    # even the prime in range, and the one out of range is named
+    pvanish.clear_caches()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"does not take p={prime}" in err
+    assert padic.p_adic_context.cache_info().currsize == 0
+    assert vanishing_classes.cache_info().currsize == 0
+
+
+def test_suite_prime_ranges_hold_their_default_primes():
+    # the suites that take primes are those with default primes, and each
+    # takes its own defaults
+    takers = {name: primes for name, (primes, _, _) in verify.SUITES.items() if primes}
+    assert set(takers) == set(verify.PRIMES_TAKEN)
+    for name, primes in takers.items():
+        verify.check_primes(name, list(primes))
+
+
+def test_verify_lists_ten_witnesses_and_counts_the_rest(capsys, monkeypatch):
+    @verify._timed
+    def fake_suite(primes, max_n):
+        return {"name": "equivalence", "checks": 12, "violations": [{"fake": i} for i in range(12)]}
+
+    monkeypatch.setattr(verify, "equivalence_suite", fake_suite)
+    code, out, _ = run(capsys, "verify", "--suite", "equivalence")
+    assert code == 1
+    witnesses = [line for line in out.splitlines() if line.startswith("  witness: ")]
+    assert witnesses == [f'  witness: {{"fake": {i}}}' for i in range(10)]
+    assert "  ... and 2 more\n" in out
 
 
 @pytest.mark.parametrize(
@@ -442,8 +521,9 @@ def test_verify_primeless_suite_rejects_p(capsys, suite):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     # the registry runner reads the suite's module global when it runs
+    @verify._timed
     def fake_suite(primes, max_n):
-        return verify.SuiteResult(name="equivalence", checks=1, violations=[{"fake": True}])
+        return {"name": "equivalence", "checks": 1, "violations": [{"fake": True}]}
 
     monkeypatch.setattr(verify, "equivalence_suite", fake_suite)
     code, out, _ = run(capsys, "verify", "--suite", "equivalence")

@@ -107,6 +107,11 @@ def test_p_adic_type_witness_consistent(alpha, p):
     assert sorted(c for g in wit.groups.values() for c in g) == sorted(alpha)
 
 
+def test_p_adic_type_witness_refuses_a_partition_of_another_size():
+    with pytest.raises(ValueError, match="not a partition of 4"):
+        p_adic_type_witness((2, 1), p_adic_context(4, 2))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_p_adic_type_loop_matches_witness(p):
     for n in range(23):
@@ -289,7 +294,7 @@ def test_equivalence_suite_flags_one_flipped_answer(monkeypatch):
     monkeypatch.setattr(verify, "is_p_singular", flipped)
     result = verify.equivalence_suite([2], 3)
     answers = {m: m != "degree" for m in SINGULARITY_METHODS}
-    assert result.violations == [{"p": 2, "n": 3, "alpha": [2, 1], "answers": answers}]
+    assert result["violations"] == [{"p": 2, "n": 3, "alpha": [2, 1], "answers": answers}]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

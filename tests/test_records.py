@@ -1,9 +1,11 @@
-"""Result records: immutability, hashing, fresh containers, constructor forms,
-the import path of the CLI that the lightweight record classes keep short,
-and the package's export list."""
+"""Result records and reports: immutability, hashing, fresh containers, the
+key order and JSON round trip of the report and suite dicts, constructor
+forms, the import path of the CLI that the lightweight record classes keep
+short, and the package's export list."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -12,17 +14,18 @@ from pathlib import Path
 import pytest
 
 import pvanish
+from pvanish import vanishing
 from pvanish.characters import CharacterTable, character_table
 from pvanish.padic import p_adic_context
 from pvanish.partitions import r_decompose
 from pvanish.vanishing import (
-    VanishEntry,
-    VanishReport,
     audit_vanishing_structure,
+    equivalence_consistent,
     list_p_vanishing,
     summary,
+    sweep,
 )
-from pvanish.verify import SuiteResult
+from pvanish.verify import SUITES, degree_column_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,15 +83,38 @@ def test_p_adic_context_is_hashable_and_cached():
 
 
 def test_suite_results_never_share_containers():
-    first, second = SuiteResult("a"), SuiteResult("b")
-    assert first.violations is not second.violations
-    first.violations.append({"kind": "x"})
-    first.checks += 1
-    first.elapsed = 1.5
-    assert (second.checks, second.violations, second.elapsed) == (0, [], 0.0)
+    first, second = degree_column_suite(3), degree_column_suite(3)
+    assert first["violations"] is not second["violations"]
+    first["violations"].append({"kind": "x"})
+    first["checks"] += 1
+    first["elapsed"] = 1.5
+    assert (second["checks"], second["violations"], second["passed"]) == (7, [], True)
+    assert second["elapsed"] != 1.5
 
 
-def test_structure_audits_never_share_containers():
+def test_suite_results_keep_their_key_order():
+    for name, (primes, _, runner) in SUITES.items():
+        result = runner(list(primes), 3)
+        assert list(result) == ["name", "checks", "violations", "passed", "elapsed"], name
+        assert result["name"] == name
+
+
+def test_reports_keep_their_key_order():
+    report = list_p_vanishing(p_adic_context(7, 2))
+    assert list(report) == ["schema_version", "n", "p", "vanishing", "audits", "counterexamples"]
+    assert [list(entry) for entry in report["vanishing"]] == [["parts", "p_adic_type", "split_i"]]
+
+
+@pytest.mark.parametrize(
+    "p,ns,keywords", [(2, range(25), {"audit": True}), (7, range(28), {"conjecture": True})]
+)
+def test_reports_survive_a_json_round_trip(p, ns, keywords):
+    # a tuple, or a dict with a key that is no string, would come back changed
+    for report in sweep(p, ns, **keywords):
+        assert json.loads(json.dumps(report)) == report, report["n"]
+
+
+def test_structure_audits_never_share_containers(monkeypatch):
     ctx = p_adic_context(4, 2)
     first, second = audit_vanishing_structure(ctx), audit_vanishing_structure(ctx)
     for name in ("checked", "violations", "informational"):
@@ -101,23 +127,33 @@ def test_structure_audits_never_share_containers():
     assert second["passed"] and not second["violations"]
     assert second["vanishing_count"] == 2
 
+    # in a report, a class's parts and the beta of its counterexample are two
+    # lists: (9, 1, 1, 1), made to vanish at n = 12, p = 5, has no p-adic type
+    real = vanishing.vanishing_classes
+    monkeypatch.setattr(
+        vanishing, "vanishing_classes", lambda n, p: real(n, p) + ((9, 1, 1, 1),)
+    )
+    report = list_p_vanishing(p_adic_context(12, 5), conjecture=True)
+    entry = report["vanishing"][-1]
+    (flagged,) = [
+        c for c in report["counterexamples"] if c["kind"] == "vanishing_without_p_adic_type"
+    ]
+    assert entry["parts"] == flagged["beta"] == [9, 1, 1, 1]
+    assert entry["parts"] is not flagged["beta"]
+
 
 def test_constructor_forms():
-    report = VanishReport(
-        n=4, p=2, vanishing=[], audits={}, counterexamples=[{"kind": "k", "beta": [4]}]
-    )
-    assert report.to_json_dict()["counterexamples"] == [{"kind": "k", "beta": [4]}]
-    entry = VanishEntry(parts=(4,), p_adic_type=True, split_i=None)
-    assert (entry.parts, entry.p_adic_type, entry.split_i) == ((4,), True, None)
-
-    result = SuiteResult(name="equivalence", checks=1, violations=[{"fake": True}])
-    assert (result.name, result.checks, result.passed) == ("equivalence", 1, False)
-
     table = character_table(3)
     rebuilt = CharacterTable(table.n, table.labels, table.values)
     assert rebuilt == table
 
-    empty = VanishReport(5, 5, [], {}, [])
-    assert (empty.n, empty.p, empty.counterexamples) == (5, 5, [])
+    # a report written by hand reads like one from list_p_vanishing; below
+    # p = 5 nothing counts as the conjecture's counterexample
+    report = {"n": 4, "p": 2, "counterexamples": [{"kind": "k", "beta": [4]}]}
+    assert summary(2, "n=4", [report]) == "p=2 n=4: no counterexample found"
+    empty = {
+        "schema_version": 1, "n": 5, "p": 5, "vanishing": [], "audits": {}, "counterexamples": []
+    }
     found = list_p_vanishing(p_adic_context(5, 5), conjecture=True)
     assert summary(5, "n=5", [found]) == summary(5, "n=5", [empty])
+    assert equivalence_consistent([empty])

@@ -41,7 +41,7 @@ from pvanish.verify import conjecture_suite, split_classifier_suite, structure_s
 def _by_kind(ctx):
     """The conjecture's counterexamples of one report, by kind, in report order."""
     found = {}
-    for c in list_p_vanishing(ctx, conjecture=True).counterexamples:
+    for c in list_p_vanishing(ctx, conjecture=True)["counterexamples"]:
         found.setdefault(c["kind"], []).append(c)
     return found
 
@@ -181,7 +181,7 @@ def test_sweep_keeps_no_label_table(monkeypatch):
     monkeypatch.setattr(vanishing, "nonvanishing_witness", refuse)
     pvanish.clear_caches()
     for n in range(25):
-        assert list_p_vanishing(p_adic_context(n, 5), conjecture=True).counterexamples == []
+        assert list_p_vanishing(p_adic_context(n, 5), conjecture=True)["counterexamples"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,8 @@ def test_classifier_disagreement_reports_witness(monkeypatch):
         vanishing, "structural_classes", lambda c: real(c) + ((beta,) if c == ctx else ())
     )
     report = list_p_vanishing(ctx)
-    assert report.audits == {"structural_agreement": False}
-    (found,) = report.counterexamples
+    assert report["audits"] == {"structural_agreement": False}
+    (found,) = report["counterexamples"]
     assert found["kind"] == "classifier_disagreement"
     assert (found["beta"], found["bruteforce"], found["structural"]) == ([1] * 8, False, True)
     _assert_reported_witness(found["witness"], beta, 2)
@@ -652,34 +652,33 @@ def test_suffix_reduction_audit_lists_no_partition_of_n(monkeypatch):
 
 def test_list_p_vanishing_report():
     report = list_p_vanishing(p_adic_context(7, 2))
-    assert [e.parts for e in report.vanishing] == [(4, 2, 1)]
-    assert report.vanishing[0].p_adic_type is True
-    assert report.vanishing[0].split_i == 0
-    assert report.audits == {"structural_agreement": True}
-    assert report.counterexamples == []
-    payload = report.to_json_dict()
-    assert payload["schema_version"] == 1
-    json.dumps(payload)
+    assert [e["parts"] for e in report["vanishing"]] == [[4, 2, 1]]
+    assert report["vanishing"][0]["p_adic_type"] is True
+    assert report["vanishing"][0]["split_i"] == 0
+    assert report["audits"] == {"structural_agreement": True}
+    assert report["counterexamples"] == []
+    assert report["schema_version"] == 1
+    json.dumps(report)
 
 
 def test_list_p_vanishing_audit_opt_in():
     report = list_p_vanishing(p_adic_context(6, 3), audit=True)
-    assert report.audits["structure"]["passed"] is True
-    assert {tuple(e.parts) for e in report.vanishing} == {
+    assert report["audits"]["structure"]["passed"] is True
+    assert {tuple(e["parts"]) for e in report["vanishing"]} == {
         (6,), (3, 3), (3, 2, 1), (3, 1, 1, 1),
     }
 
 
 def test_list_p_vanishing_takes_no_limit():
     # the sweep-size guard is the CLI's --limit; the library sweeps any n
-    assert list_p_vanishing(p_adic_context(31, 2)).audits == {"structural_agreement": True}
+    assert list_p_vanishing(p_adic_context(31, 2))["audits"] == {"structural_agreement": True}
 
 
 def test_list_p_vanishing_for_large_prime_has_no_split():
     report = list_p_vanishing(p_adic_context(10, 5))
-    assert [e.parts for e in report.vanishing] == [(10,), (5, 5)]
-    assert all(e.split_i is None for e in report.vanishing)
-    assert report.audits == {}
+    assert [e["parts"] for e in report["vanishing"]] == [[10], [5, 5]]
+    assert all(e["split_i"] is None for e in report["vanishing"])
+    assert report["audits"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +689,7 @@ def test_list_p_vanishing_for_large_prime_has_no_split():
 @pytest.mark.parametrize("n", range(0, 12))
 def test_conjecture_scan_finds_nothing_at_p5(n):
     report = list_p_vanishing(p_adic_context(n, 5), conjecture=True)
-    assert report.counterexamples == []
+    assert report["counterexamples"] == []
     assert "no counterexample found" in summary(5, f"n={n}", [report])
 
 
@@ -700,7 +699,7 @@ def test_conjecture_scan_rejects_small_primes():
 
 
 def test_conjecture_scan_takes_no_limit():
-    assert list_p_vanishing(p_adic_context(31, 5), conjecture=True).counterexamples == []
+    assert list_p_vanishing(p_adic_context(31, 5), conjecture=True)["counterexamples"] == []
 
 
 def test_vacuous_regime_below_p():
@@ -709,14 +708,14 @@ def test_vacuous_regime_below_p():
     ctx = p_adic_context(4, 7)
     assert all(nonvanishing_witness(beta, 7) is None for beta in enumerate_partitions(4))
     assert vanishing_classes(4, 7) == tuple(enumerate_partitions(4))
-    assert list_p_vanishing(ctx, conjecture=True).counterexamples == []
+    assert list_p_vanishing(ctx, conjecture=True)["counterexamples"] == []
     for beta in enumerate_partitions(4):
         assert is_p_adic_type(beta, ctx)
 
 
 def test_conjecture_sweep_summary():
     reports = list(sweep(5, range(0, 11), conjecture=True))
-    assert [c for r in reports for c in r.counterexamples] == []
+    assert [c for r in reports for c in r["counterexamples"]] == []
     assert equivalence_consistent(reports)
     assert "no counterexample found" in summary(5, "n<=10", reports)
 
@@ -736,7 +735,7 @@ def test_sweep_holds_one_n_of_the_growing_tables():
     # leaves both growing tables empty; the small result tables stay
     pvanish.clear_caches()
     for report in sweep(5, range(0, 30), conjecture=True):
-        assert padic._pprime_masks.cache_info().currsize == 1, report.n
+        assert padic._pprime_masks.cache_info().currsize == 1, report["n"]
     assert characters._char.cache_info().currsize == 0
     assert padic._pprime_masks.cache_info().currsize == 0
     assert vanishing_classes.cache_info().currsize == 30
@@ -769,18 +768,18 @@ def test_conjecture_kinds_follow_the_audit_in_order(monkeypatch):
     }
     monkeypatch.setattr(vanishing, "audit_vanishing_structure", lambda c: audit)
     report = list_p_vanishing(ctx, audit=True, conjecture=True)
-    assert [c.get("kind", c.get("predicate")) for c in report.counterexamples] == [
+    assert [c.get("kind", c.get("predicate")) for c in report["counterexamples"]] == [
         "min_part",
         "vanishing_without_p_adic_type",
         "p_adic_type_not_vanishing",
         "small_part_sum_exceeds_last_digit",
     ]
-    assert report.counterexamples[3] == {
+    assert report["counterexamples"][3] == {
         "kind": "small_part_sum_exceeds_last_digit", "beta": [9, 1, 1, 1], "sum": 3, "bound": 2
     }
     assert summary(5, "n=12", [report]) == "p=5 n=12: 3 counterexample(s)"
     assert equivalence_consistent([report])
-    type_only = report._replace(counterexamples=report.counterexamples[:2])
+    type_only = {**report, "counterexamples": report["counterexamples"][:2]}
     assert not equivalence_consistent([type_only])
 
 
@@ -804,21 +803,21 @@ def test_split_classifier_suite_lists_no_class(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_partitions", up_to_20)
     result = split_classifier_suite([2, 3], 30)
-    assert result.passed
-    assert result.checks == 2 * sum(partition_count(n) for n in range(31))
+    assert result["passed"]
+    assert result["checks"] == 2 * sum(partition_count(n) for n in range(31))
 
 
 def test_split_classifier_suite_reports_a_dropped_class(monkeypatch):
     beta = vanishing_classes(12, 2)[0]
     _flip_flag(monkeypatch, 12, 2, beta)
     result = split_classifier_suite([2], 12)
-    assert result.violations == [{"p": 2, "n": 12, "beta": list(beta), "bruteforce": False}]
-    assert result.checks == sum(partition_count(n) for n in range(13))
+    assert result["violations"] == [{"p": 2, "n": 12, "beta": list(beta), "bruteforce": False}]
+    assert result["checks"] == sum(partition_count(n) for n in range(13))
 
 
 def test_structure_suite_releases_the_growing_tables():
     pvanish.clear_caches()
-    assert structure_suite([3], 30).passed
+    assert structure_suite([3], 30)["passed"]
     assert characters._char.cache_info().currsize == 0
     assert padic._pprime_masks.cache_info().currsize == 0
 
@@ -839,14 +838,27 @@ def test_structure_audit_flags_an_injected_class(monkeypatch, n, beta, predicate
     audit = audit_vanishing_structure(p_adic_context(n, 2))
     assert [v for v in audit["violations"] if v["predicate"] == predicate] == [flagged]
     assert not audit["passed"]
-    assert {**flagged, "p": 2, "n": n} in structure_suite([2], n).violations
+    assert {**flagged, "p": 2, "n": n} in structure_suite([2], n)["violations"]
+
+
+@pytest.mark.parametrize(
+    "suite,primes",
+    [(conjecture_suite, [5, 3]), (split_classifier_suite, [2, 5])],
+    ids=["conjectures", "split-classifier"],
+)
+def test_prime_suites_refuse_a_prime_they_do_not_take(suite, primes):
+    # the prime in range, listed first, is not swept either
+    pvanish.clear_caches()
+    with pytest.raises(ValueError, match=f"does not take p={primes[1]}"):
+        suite(primes, 10)
+    assert vanishing_classes.cache_info().currsize == 0
 
 
 def test_conjecture_suite_flags_a_broken_equivalence(monkeypatch):
     # 10 is 20 in base 5, so a_0 = 0: an injected (6, 4), not of p-adic
     # type, breaks the type conjecture but not the small-part sum bound
     _flip_flag(monkeypatch, 10, 5, (6, 4))
-    assert conjecture_suite([5], 12).violations == [
+    assert conjecture_suite([5], 12)["violations"] == [
         {"kind": "vanishing_without_p_adic_type", "beta": [6, 4], "p": 5},
         {"kind": "conjecture_equivalence_broken", "p": 5},
     ]
