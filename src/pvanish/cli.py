@@ -5,18 +5,21 @@ partition surgery (decompose, compose, padic), and sweeps (vanishing,
 verify).  Exit codes: 0 means every requested check passed,
 1 means a checked identity or classification failed and the output carries
 a witness, 2 means the invocation itself was malformed, 3 means the
-evaluation itself crashed (recursion depth or memory), which says nothing
-about the mathematics.
+evaluation itself crashed (recursion depth or memory) or its output could
+not be written, which says nothing about the mathematics.
 
-All JSON payloads carry "schema_version": 1 at top level.  Text and JSON
-render the same data in the same deterministic order (labels descending
-lexicographically), so either stream can be diffed across runs.
+Each handler returns (payload, lines, exit_code) and prints nothing; main
+alone writes stdout: the payload under "schema_version": 1 with --json,
+else the text lines.  Text and JSON render the same data in the same
+deterministic order (labels descending lexicographically), so either stream
+can be diffed across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -72,11 +75,8 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+# What each handler returns; main prints one of the first two.
+Result = tuple[dict, list[str], int]  # (payload, text lines, exit code)
 
 
 # ---------------------------------------------------------------------------
@@ -84,26 +84,17 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_char(args: argparse.Namespace) -> int:
+def _cmd_char(args: argparse.Namespace) -> Result:
     alpha = parse_partition(args.alpha)
     beta = parse_partition(args.beta)
     value = character_value(alpha, beta)
-    payload = {
-        "schema_version": 1,
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "value": value,
-    }
-    _emit(payload, [str(value)], args.json)
-    return 0
+    return {"alpha": list(alpha), "beta": list(beta), "value": value}, [str(value)], 0
 
 
-def _cmd_degree(args: argparse.Namespace) -> int:
+def _cmd_degree(args: argparse.Namespace) -> Result:
     alpha = parse_partition(args.alpha)
     value = degree(alpha)
-    payload = {"schema_version": 1, "alpha": list(alpha), "degree": value}
-    _emit(payload, [str(value)], args.json)
-    return 0
+    return {"alpha": list(alpha), "degree": value}, [str(value)], 0
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +106,10 @@ def _quotient_text(quotient: tuple) -> str:
     return ";".join(format_partition(q) for q in quotient)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> Result:
     alpha = parse_partition(args.alpha)
     dec = r_decompose(alpha, args.r)
     payload = {
-        "schema_version": 1,
         "alpha": list(alpha),
         "r": args.r,
         "core": list(dec.core),
@@ -134,11 +124,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         f"weight: {dec.weight}",
         f"sign: {dec.sign:+d}",
     ]
-    _emit(payload, lines, args.json)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace) -> Result:
     core = parse_partition(args.core)
     quotient = tuple(parse_partition(part) for part in args.quotient.split(";"))
     size = sum(core) + args.r * sum(map(sum, quotient))
@@ -148,22 +137,19 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         )
     alpha = from_core_and_quotient(core, quotient, args.r)
     payload = {
-        "schema_version": 1,
         "core": list(core),
         "quotient": [list(q) for q in quotient],
         "r": args.r,
         "alpha": list(alpha),
     }
-    _emit(payload, [format_partition(alpha)], args.json)
-    return 0
+    return payload, [format_partition(alpha)], 0
 
 
-def _cmd_padic(args: argparse.Namespace) -> int:
+def _cmd_padic(args: argparse.Namespace) -> Result:
     ctx = p_adic_context(args.n, args.p)
     divs = {t: ctx.div(t) for t in range(ctx.k + 2)}
     rems = {t: ctx.rem(t) for t in range(ctx.k + 2)}
     payload = {
-        "schema_version": 1,
         "n": ctx.n,
         "p": ctx.p,
         "digits": list(ctx.digits),
@@ -178,8 +164,7 @@ def _cmd_padic(args: argparse.Namespace) -> int:
         "div: " + " ".join(f"t={t}:{v}" for t, v in divs.items()),
         "rem: " + " ".join(f"t={t}:{v}" for t, v in rems.items()),
     ]
-    _emit(payload, lines, args.json)
-    return 0
+    return payload, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +172,7 @@ def _cmd_padic(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_vanishing(args: argparse.Namespace) -> int:
+def _cmd_vanishing(args: argparse.Namespace) -> Result:
     if len(args.p) != 1:
         raise ValueError("vanishing takes exactly one prime")
     (p,) = args.p
@@ -221,25 +206,16 @@ def _cmd_vanishing(args: argparse.Namespace) -> int:
     if args.check_conjecture:
         lines.extend(summary(p, f"n={r['n']}", [r]) for r in reports)
 
-    payload = {
-        "schema_version": 1,
-        "p": p,
-        "reports": reports,
-        "total_vanishing": total,
-        "counterexample_count": bad,
-    }
-    _emit(payload, lines, args.json)
-    return 1 if bad else 0
+    payload = {"p": p, "reports": reports, "total_vanishing": total, "counterexample_count": bad}
+    return payload, lines, 1 if bad else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     if args.p and args.suite != "all":
-        if args.suite not in verify_mod.PRIMES_TAKEN:
-            raise ValueError(f"suite {args.suite!r} takes no primes; drop --p")
         verify_mod.check_primes(args.suite, args.p)
     bounds = {
-        name: verify_mod.SUITES[name][1] if args.max_n is None else args.max_n for name in names
+        name: verify_mod.SUITES[name][2] if args.max_n is None else args.max_n for name in names
     }
     for name, bound in bounds.items():  # every bound, before the first suite runs
         verify_mod.check_table_guard(name, bound)
@@ -248,8 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # when no suite ran a check
     results, skipped = [], []
     for name, bound in bounds.items():
-        default_primes, _, runner = verify_mod.SUITES[name]
-        takes = verify_mod.PRIMES_TAKEN.get(name)
+        default_primes, takes, _, runner = verify_mod.SUITES[name]
         result = runner([p for p in args.p or default_primes if takes and takes(p)], bound)
         (results if result["checks"] else skipped).append(result)
     if not results:
@@ -278,22 +253,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{len(failed)} failed"
     )
 
-    payload = {
-        "schema_version": 1,
-        "suites": results,
-        "failed": len(failed),
-    }
-    _emit(payload, lines, args.json)
-    return 1 if failed else 0
+    return {"suites": results, "failed": len(failed)}, lines, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _add_json(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,18 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("char", help="one character value, exactly")
     sub.add_argument("--alpha", required=True, help='label, e.g. "3,3,2" or "(4,2,1^3)"')
     sub.add_argument("--beta", required=True, help="cycle type of the class")
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_char)
 
     sub = commands.add_parser("degree", help="dimension of one representation")
     sub.add_argument("--alpha", required=True)
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_degree)
 
     sub = commands.add_parser("decompose", help="r-core, r-quotient, weight, sign")
     sub.add_argument("--alpha", required=True)
     sub.add_argument("--r", type=_capped, required=True)
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_decompose)
 
     sub = commands.add_parser("compose", help="rebuild a partition from core and quotient")
@@ -328,13 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help='r components separated by ";", e.g. "(2);(0)"',
     )
     sub.add_argument("--r", type=_capped, required=True)
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_compose)
 
     sub = commands.add_parser("padic", help="base-p digits and derived data for n")
     sub.add_argument("--n", type=_capped, required=True)
     sub.add_argument("--p", type=_capped, required=True)
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_padic)
 
     sub = commands.add_parser("vanishing", help="classify p-vanishing cycle types")
@@ -349,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for p >= 5, hunt for conjecture counterexamples",
     )
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_vanishing)
 
     sub = commands.add_parser("verify", help="batch self-verification sweeps")
@@ -358,9 +317,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--p", type=_parse_primes, default=None, help='comma list, e.g. "2,3,5"'
     )
     sub.add_argument("--max-n", type=int, default=None, help="inclusive size bound")
-    _add_json(sub)
     sub.set_defaults(handler=_cmd_verify)
 
+    for sub in commands.choices.values():  # last, so it ends every command's help
+        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     return parser
 
 
@@ -371,13 +331,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        payload, lines, code = args.handler(args)
+        if args.json:
+            print(json.dumps({"schema_version": 1, **payload}, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
-        # a crash of the evaluator, not a failed check: RecursionError is a
-        # RuntimeError, so it has to be caught before the violation branch
+    except (RecursionError, MemoryError, BrokenPipeError) as exc:
+        # a crash of the evaluator or of the output, not a failed check:
+        # RecursionError is a RuntimeError, so it has to be caught before the
+        # violation branch
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone; what is still buffered goes to devnull,
+            # so the flush at interpreter exit cannot raise a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:

@@ -527,7 +527,10 @@ def list_p_vanishing(
     ]
     if audit:
         audits["structure"] = audit_vanishing_structure(ctx)
-        counterexamples.extend(audits["structure"]["violations"])
+        # copies: a caller that edits one of the two never edits the other
+        counterexamples.extend(
+            {**v, "beta": list(v["beta"])} for v in audits["structure"]["violations"]
+        )
     if conjecture:
         counterexamples.extend(
             {"kind": "vanishing_without_p_adic_type", "beta": list(beta)}

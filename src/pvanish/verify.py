@@ -102,21 +102,16 @@ def _gram_mismatches(left, right, diagonal):
                 yield i, j, got
 
 
-# The primes each suite that takes primes sweeps; the other suites take none.
-# A suite refuses any other prime (check_primes), and under `verify --suite
-# all` the CLI gives each suite only the primes it takes.
-PRIMES_TAKEN: dict[str, Callable[[int], bool]] = {
-    "equivalence": lambda p: True,
-    "split-classifier": lambda p: p in STRUCTURAL_LEVEL,
-    "structure": lambda p: True,
-    "conjectures": lambda p: p >= 5,
-}
-
-
 def check_primes(name: str, primes: list[int]) -> None:
-    """Refuse a prime that suite name does not sweep, before anything is swept."""
+    """Refuse a prime that suite name does not sweep, before anything is swept.
+
+    A suite whose SUITES row takes no primes refuses every prime.
+    """
+    takes = SUITES[name][1]
+    if primes and takes is None:
+        raise ValueError(f"suite {name!r} takes no primes; drop --p")
     for p in primes:
-        if not PRIMES_TAKEN[name](p):
+        if not takes(p):
             raise ValueError(f"suite {name!r} does not take p={p}")
 
 
@@ -352,20 +347,26 @@ def conjecture_suite(primes: list[int], max_n: int) -> dict:
     return {"name": "conjectures", "checks": checks, "violations": violations}
 
 
-# Every suite in run order: name -> (default primes, default bound, runner).
-# A runner takes (primes, bound) and looks its suite up by module-global name
-# when it runs, so a rebinding of that global (a tracing wrapper) is honoured.
+# Every suite in run order: name -> (default primes, the primes it takes or
+# None, default bound, runner).  A suite refuses any other prime
+# (check_primes), and under `verify --suite all` the CLI gives each suite
+# only the primes it takes.  A runner takes (primes, bound) and looks its
+# suite up by module-global name when it runs, so a rebinding of that global
+# (a tracing wrapper) is honoured.
 # With the default bounds, `verify --suite all` takes 0.8-0.9 s in-process on
 # one core of a 2-core Xeon VM under Python 3.11 (the VM drifts between speed
 # states); equivalence, at 0.30-0.41 s, is the largest share.
-SUITES: dict[str, tuple[tuple[int, ...], int, Callable[[list[int], int], dict]]] = {
-    "equivalence": ((2, 3, 5), 22, lambda primes, n: equivalence_suite(primes, n)),
-    "orthogonality": ((), 13, lambda primes, n: orthogonality_suite(n)),
-    "degree-column": ((), 26, lambda primes, n: degree_column_suite(n)),
-    "conjugation-twist": ((), 16, lambda primes, n: conjugation_twist_suite(n)),
-    "split-classifier": ((2, 3), 24, lambda primes, n: split_classifier_suite(primes, n)),
-    "structure": ((2, 3), 24, lambda primes, n: structure_suite(primes, n)),
-    "factorization": ((), 14, lambda primes, n: factorization_suite(n)),
-    "multichar": ((), 8, lambda primes, n: multichar_suite(n)),
-    "conjectures": ((5,), 26, lambda primes, n: conjecture_suite(primes, n)),
+Runner = Callable[[list[int], int], dict]
+SUITES: dict[str, tuple[tuple[int, ...], Callable[[int], bool] | None, int, Runner]] = {
+    "equivalence": ((2, 3, 5), lambda p: True, 22, lambda ps, n: equivalence_suite(ps, n)),
+    "orthogonality": ((), None, 13, lambda ps, n: orthogonality_suite(n)),
+    "degree-column": ((), None, 26, lambda ps, n: degree_column_suite(n)),
+    "conjugation-twist": ((), None, 16, lambda ps, n: conjugation_twist_suite(n)),
+    "split-classifier": (
+        (2, 3), lambda p: p in STRUCTURAL_LEVEL, 24, lambda ps, n: split_classifier_suite(ps, n)
+    ),
+    "structure": ((2, 3), lambda p: True, 24, lambda ps, n: structure_suite(ps, n)),
+    "factorization": ((), None, 14, lambda ps, n: factorization_suite(n)),
+    "multichar": ((), None, 8, lambda ps, n: multichar_suite(n)),
+    "conjectures": ((5,), lambda p: p >= 5, 26, lambda ps, n: conjecture_suite(ps, n)),
 }

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -322,6 +325,38 @@ def test_fixed_point_tail_costs_no_depth(capsys):
     assert out.strip() == "1"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the first is held in stdout's buffer until main flushes it; the
+        # second is larger than that buffer, so the print itself writes
+        ("degree", "--alpha", "3,3,2"),
+        ("vanishing", "--p", "2", "--n", "0..24", "--json"),
+    ],
+)
+def test_closed_stdout_exits_3(argv):
+    # output that cannot be written is not a violation (exit 1), and the
+    # flush at interpreter exit adds no second error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvanish.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: BrokenPipeError:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_internal_error_exit_3(capsys):
     # 1000 nested 2-hook removals exceed the default recursion limit
     code, out, err = run(capsys, "char", "--alpha", "2000", "--beta", "2^1000")
@@ -468,9 +503,8 @@ def test_named_suite_refuses_a_prime_it_does_not_take(capsys, argv, prime):
 def test_suite_prime_ranges_hold_their_default_primes():
     # the suites that take primes are those with default primes, and each
     # takes its own defaults
-    takers = {name: primes for name, (primes, _, _) in verify.SUITES.items() if primes}
-    assert set(takers) == set(verify.PRIMES_TAKEN)
-    for name, primes in takers.items():
+    for name, (primes, takes, _, _) in verify.SUITES.items():
+        assert bool(primes) == (takes is not None), name
         verify.check_primes(name, list(primes))
 
 
@@ -510,7 +544,7 @@ def test_verify_all_with_zero_checks_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite", [name for name, (primes, _, _) in verify.SUITES.items() if not primes]
+    "suite", [name for name, (primes, _, _, _) in verify.SUITES.items() if not primes]
 )
 def test_verify_primeless_suite_rejects_p(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--p", "2")
@@ -531,9 +565,13 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_verify_suite_choices_are_the_registry():
+def _commands():
     (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
-    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    return commands.choices
+
+
+def test_verify_suite_choices_are_the_registry():
+    (suite,) = [a for a in _commands()["verify"]._actions if a.dest == "suite"]
     assert list(suite.choices) == [*verify.SUITES, "all"]
 
 
@@ -626,6 +664,22 @@ PINNED_DIGESTS = {
     "decompose --alpha 1^10000 --r 9999 --json": (
         "bdafaf0c031eb718e4b73d528432999c8b8ea21470d37ffb3070d5916ffc12a8"
     ),
+    # the README's examples of the single-evaluation and surgery commands
+    "char --alpha 3,3,2 --beta 4,2,1,1 --json": (
+        "86e94252fbe0eae49d0a3bcaaaa8c100033d37ee75ac744f06dca15a274350b7"
+    ),
+    "degree --alpha 3,3,2 --json": (
+        "20a3ed8afcc945c59c0f50023c0e5f0e4aa989752bf0b661ef125e447080a9bd"
+    ),
+    "decompose --alpha 4,2,1,1 --r 2 --json": (
+        "5cb3d91e2a240069b96228e643b8e5a68f49185e1e178299c9c17bb2e527582c"
+    ),
+    "compose --core 0 --quotient (1,1);(2) --r 2 --json": (
+        "c050facf9922e9d31c06b7da3da636300e477ca5eb03b25bd92a0a9cd9994409"
+    ),
+    "padic --n 10 --p 2 --json": (
+        "d61d6d1bae84fdf79cffffcf4b30a879050847fbc84889943b3c9f41c1942b21"
+    ),
 }
 
 
@@ -636,3 +690,22 @@ def test_json_output_matches_pinned_digest(capsys, command):
     if command.startswith("verify"):
         out = re.sub(r'("elapsed": )-?[0-9][0-9.eE+-]*', r"\g<1>0", out)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
+
+
+# a small invocation of every command; a command missing here fails below
+ENVELOPE_ARGS = {
+    "char": "--alpha 3 --beta 3",
+    "degree": "--alpha 3",
+    "decompose": "--alpha 3 --r 2",
+    "compose": "--core 0 --quotient (1);(1) --r 2",
+    "padic": "--n 10 --p 2",
+    "vanishing": "--p 2 --n 4",
+    "verify": "--suite degree-column --max-n 4",
+}
+
+
+@pytest.mark.parametrize("command", list(_commands()))
+def test_every_command_json_leads_with_schema_version(capsys, command):
+    code, out, _ = run(capsys, command, *ENVELOPE_ARGS[command].split(), "--json")
+    assert code == 0
+    assert next(iter(json.loads(out).items())) == ("schema_version", 1)

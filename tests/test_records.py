@@ -93,7 +93,7 @@ def test_suite_results_never_share_containers():
 
 
 def test_suite_results_keep_their_key_order():
-    for name, (primes, _, runner) in SUITES.items():
+    for name, (primes, _, _, runner) in SUITES.items():
         result = runner(list(primes), 3)
         assert list(result) == ["name", "checks", "violations", "passed", "elapsed"], name
         assert result["name"] == name
@@ -140,6 +140,18 @@ def test_structure_audits_never_share_containers(monkeypatch):
     ]
     assert entry["parts"] == flagged["beta"] == [9, 1, 1, 1]
     assert entry["parts"] is not flagged["beta"]
+
+    # an audited report copies each structure violation into counterexamples:
+    # (6, 6), made to vanish at n = 12, p = 2, gives three violations
+    monkeypatch.setattr(
+        vanishing, "vanishing_classes", lambda n, p: real(n, p) + ((6, 6),) * (n == 12)
+    )
+    report = list_p_vanishing(p_adic_context(12, 2), audit=True)
+    audited = report["audits"]["structure"]["violations"]
+    copied = [c for c in report["counterexamples"] if "predicate" in c]
+    assert len(audited) == 3 and copied == audited
+    for mine, theirs in zip(audited, copied):
+        assert mine is not theirs and mine["beta"] is not theirs["beta"]
 
 
 def test_constructor_forms():
