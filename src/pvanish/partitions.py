@@ -225,25 +225,24 @@ def r_weight(alpha: Partition, r: int) -> int:
     return _mask_weight(_beta_mask(alpha), r)
 
 
-def r_decompose(alpha: Partition, r: int) -> RDecomposition:
-    """Decompose a partition into its r-core, r-quotient, r-weight and r-sign.
+def _mask_decompose(mask: int, r: int) -> tuple[int, tuple[int, ...], int, int]:
+    """(core mask, quotient masks, weight, sign) of the partition with this beta mask.
 
-    The beta mask is displayed at the least size that is a multiple of r.
+    The mask is displayed at the least bead count that is a multiple of r.
     Bead x sits on runner x % r at level x // r, and quotient component j
     is the partition whose beta mask is runner j's levels.
 
     The beads are walked from the lowest up, and each slides down its runner
     to the lowest slot not yet taken: x to y is (x - y) / r removals of an
     r-hook, and their legs add up to the beads strictly between y and x,
-    all of which have already slid.  The slid beads form the core.
+    all of which have already slid.  The slid beads form the core.  Each
+    mask returned is the one _beta_mask of its partition.
     """
-    if r < 1:
-        raise ValueError(f"modulus must be >= 1, got {r}")
-    mask = _display(alpha, len(alpha) + -len(alpha) % r)
+    pad = -mask.bit_count() % r
     runners = [0] * r  # level mask of each runner
     slid = [0] * r  # beads of each runner already slid down
     core = weight = legs = 0
-    for x in _beads(mask):
+    for x in _beads(mask << pad | ((1 << pad) - 1)):
         level, j = divmod(x, r)
         runners[j] |= 1 << level
         y = j + r * slid[j]
@@ -251,12 +250,26 @@ def r_decompose(alpha: Partition, r: int) -> RDecomposition:
         weight += (x - y) // r
         legs += (core >> (y + 1)).bit_count()
         core |= 1 << y
+    # ~m & (m + 1) is the lowest clear bit; the ones below it are zero parts
+    core, *quotient = [m >> ((~m & (m + 1)).bit_length() - 1) for m in (core, *runners)]
+    return core, tuple(quotient), weight, -1 if legs & 1 else 1
+
+
+def r_decompose(alpha: Partition, r: int) -> RDecomposition:
+    """Decompose a partition into its r-core, r-quotient, r-weight and r-sign.
+
+    The partitions are read off the masks of _mask_decompose, which callers
+    that work on masks use directly.
+    """
+    if r < 1:
+        raise ValueError(f"modulus must be >= 1, got {r}")
+    core, quotient, weight, sign = _mask_decompose(_beta_mask(alpha), r)
     return RDecomposition(
         r=r,
         core=_mask_partition(core),
-        quotient=tuple(map(_mask_partition, runners)),
+        quotient=tuple(map(_mask_partition, quotient)),
         weight=weight,
-        sign=-1 if legs & 1 else 1,
+        sign=sign,
     )
 
 

@@ -27,8 +27,8 @@ from .characters import (
     merged_cycle_type,
 )
 from .padic import SINGULARITY_METHODS, is_p_singular, p_adic_context
-from .partitions import _beta_mask, _rim_moves, conjugate, enumerate_partitions
-from .partitions import partition_count, r_decompose
+from .partitions import _beta_mask, _mask_decompose, _rim_moves, conjugate
+from .partitions import enumerate_partitions, partition_count
 from .vanishing import STRUCTURAL_LEVEL, equivalence_consistent, sweep
 
 
@@ -243,11 +243,13 @@ def factorization_suite(max_n: int) -> dict:
     For every alpha, r in 2..5, gamma a partition of the r-weight and lam of
     what is left, the value of alpha on merged_cycle_type(r, gamma, lam) is
     compared with sign * (quotient tuple on gamma) * (core on lam), all read
-    from r_decompose.  The direct side is read from the merged class's column
+    from the masks of partitions._mask_decompose, the decomposition behind
+    r_decompose.  The direct side is read from the merged class's column
     (characters._column, hook addition); the core and quotient factors come
     from the removal recursions _char and _multi.  The partitions of each
-    size are listed once, the alpha, core and quotient masks are built once
-    per (alpha, r), and the quotient factor once per gamma.
+    size are listed once, the alpha mask is built once per alpha, the core
+    and quotient masks once per (alpha, r), and the quotient factor once per
+    gamma.
     """
     checks, violations = 0, []
     partitions = [list(enumerate_partitions(m)) for m in range(max_n + 1)]
@@ -255,12 +257,11 @@ def factorization_suite(max_n: int) -> dict:
         for alpha in partitions[n]:
             alpha_mask = _beta_mask(alpha)
             for r in (2, 3, 4, 5):
-                dec = r_decompose(alpha, r)
-                core_mask = _beta_mask(dec.core)
-                quotient_masks = _multi_key(map(_beta_mask, dec.quotient))
-                lams = partitions[n - r * dec.weight]
-                for gamma in partitions[dec.weight]:
-                    q = dec.sign * _multi(quotient_masks, gamma)
+                core_mask, quotient_masks, weight, sign = _mask_decompose(alpha_mask, r)
+                quotient_masks = _multi_key(quotient_masks)
+                lams = partitions[n - r * weight]
+                for gamma in partitions[weight]:
+                    q = sign * _multi(quotient_masks, gamma)
                     for lam in lams:
                         direct = _column(merged_cycle_type(r, gamma, lam)).get(alpha_mask, 0)
                         split = q * _char(core_mask, lam)

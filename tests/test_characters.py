@@ -334,13 +334,13 @@ def test_factorization_example_by_hand():
 
 
 def test_factorization_suite_flags_wrong_sign(monkeypatch):
-    def flipped(alpha, r):
-        dec = r_decompose(alpha, r)
-        if (alpha, r) != ((3, 1), 2):
-            return dec
-        return dec._replace(sign=-dec.sign)
+    def flipped(mask, r):
+        core, quotient, weight, sign = partitions._mask_decompose(mask, r)
+        if (mask, r) != (_beta_mask((3, 1)), 2):
+            return core, quotient, weight, sign
+        return core, quotient, weight, -sign
 
-    monkeypatch.setattr(verify, "r_decompose", flipped)
+    monkeypatch.setattr(verify, "_mask_decompose", flipped)
     result = factorization_suite(5)
     assert result["checks"] == sum(
         len(list(enumerate_partitions(w))) * len(list(enumerate_partitions(n - r * w)))

@@ -326,35 +326,94 @@ def test_fixed_point_tail_costs_no_depth(capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+AUDITED_P3 = ("vanishing", "--p", "3", "--n", "0..21", "--limit", "21", "--audit")
+
+
+def _process(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter running args, with stdout block-buffered.
+
+    PYTHONUNBUFFERED is dropped: with it, every print writes at once, so a
+    lost flush would show nowhere, and argparse swallows the error of writing
+    --help to a closed stdout.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, text=True, env=env, **kwargs
+    )
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        # the first is held in stdout's buffer until main flushes it; the
-        # second is larger than that buffer, so the print itself writes
+        # the first three are held in stdout's buffer until entry flushes it
+        # (argparse prints --help itself); the last is larger than that
+        # buffer, so the print itself writes
+        ("--help",),
+        ("verify", "--help"),
         ("degree", "--alpha", "3,3,2"),
         ("vanishing", "--p", "2", "--n", "0..24", "--json"),
     ],
 )
 def test_closed_stdout_exits_3(argv):
-    # output that cannot be written is not a violation (exit 1), and the
-    # flush at interpreter exit adds no second error
+    # output that cannot be written is not a violation (exit 1), and no later
+    # flush adds a second error
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pvanish.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = _process("-m", "pvanish.cli", *argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error: BrokenPipeError:")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*AUDITED_P3, "--json"),  # about 31 KB, several times stdout's buffer
+        ("verify", "--suite", "orthogonality", "--max-n", "17"),  # exit 2
+        ("char", "--alpha", "2000", "--beta", "2^1000"),  # exit 3
+    ],
+)
+def test_process_ends_with_what_main_wrote(capsys, argv):
+    # entry ends the process with os._exit, after flushing what main printed
+    proc = _process("-m", "pvanish.cli", *argv, stdout=subprocess.PIPE)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    # past its kind, a RecursionError's message depends on the frame that raised it
+    assert proc.stderr.split(":")[:2] == err.split(":")[:2]
+
+
+def test_process_output_redirected_to_a_file(capsys, tmp_path):
+    # the text output fits in stdout's buffer: without the flush, none of it is written
+    out = tmp_path / "out.txt"
+    with out.open("w") as stdout:
+        proc = _process("-m", "pvanish.cli", *AUDITED_P3, stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == run(capsys, *AUDITED_P3)[1]
+
+
+def test_process_runs_the_atexit_callbacks():
+    code = (
+        "import atexit; atexit.register(print, 'callback ran'); "
+        "from pvanish.cli import entry; entry()"
+    )
+    proc = _process("-c", code, "degree", "--alpha", "3,3,2", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "42\ncallback ran\n", "")
+
+
+def test_process_under_a_profiler_writes_its_report():
+    # cProfile prints its report after the program's SystemExit; os._exit would skip it
+    proc = _process(
+        "-m", "cProfile", "-m", "pvanish.cli", "degree", "--alpha", "3,3,2",
+        stdout=subprocess.PIPE,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("42\n")
+    assert "function calls" in proc.stdout
 
 
 def test_internal_error_exit_3(capsys):

@@ -30,6 +30,7 @@ from pvanish.partitions import (
     r_weight,
     _beta_mask,
     _display,
+    _mask_decompose,
     _mask_partition,
     _mask_weight,
     _rim_additions,
@@ -359,6 +360,21 @@ def test_r_decompose_matches_pinned_digest():
         for r in range(1, n + 3)
     )
     assert hashlib.sha256(reprs.encode()).hexdigest() == R_DECOMPOSE_DIGEST
+
+
+def test_mask_decompose_gives_the_masks_of_r_decompose():
+    # each mask is the one _beta_mask of its partition, so the suites can key
+    # memo tables with it; the digest above does not see the mask's padding
+    for n in range(13):
+        for alpha in enumerate_partitions(n):
+            for r in range(1, 7):
+                dec = r_decompose(alpha, r)
+                assert _mask_decompose(_beta_mask(alpha), r) == (
+                    _beta_mask(dec.core),
+                    tuple(map(_beta_mask, dec.quotient)),
+                    dec.weight,
+                    dec.sign,
+                ), (alpha, r)
 
 
 def test_decompose_known_values():
